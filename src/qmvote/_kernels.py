@@ -1,125 +1,36 @@
-"""Rule-space scan kernels.
+"""Rule-space scan kernel.
 
-One kernel serves both rule spaces: a rule is an integer whose bit k is
-the winner at cell k (0 = X, 1 = Y), where cells are canonical profile
-indices in the full space and lexicographic tally classes in the
-anonymous space. The checks run cheapest-first (preference-reversal
-pairing, then single-voter moves, then adjacent transpositions) with an
-early exit per rule.
-
-The numba build is the default; setting QMVOTE_NO_NUMBA=1 before import
-(or numba being absent) selects the vectorized pure-numpy fallback. Both
-paths are importable side by side so benchmarks/ and the tests can
-compare them on identical inputs.
+One vectorized numpy kernel serves both rule spaces: a rule is an
+integer whose bit k is the winner at cell k (0 = X, 1 = Y), where cells
+are canonical profile indices in the full space and lexicographic tally
+classes in the anonymous space. Encodings are swept in fixed-size
+chunks; within a chunk the checks run as whole-array masks
+(preference-reversal pairing, then single-voter moves, then adjacent
+transpositions).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-ENV_FLAG = "QMVOTE_NO_NUMBA"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    HAVE_NUMBA = False
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-USE_NUMBA = HAVE_NUMBA and not _env_disabled()
-
-
-def _scan_loop(
-    start,
-    stop,
-    in_rq,
-    dual_idx,
-    resp_x_indptr,
-    resp_x_targets,
-    resp_y_indptr,
-    resp_y_targets,
-    trans,
-    want_neutrality,
-    want_responsiveness,
-    want_anonymity,
-):
-    ncells = dual_idx.shape[0]
-    ntrans = trans.shape[0]
-    cap = 64
-    out = np.empty(cap, np.int64)
-    count = 0
-    for enc in range(start, stop):
-        ok = True
-        if want_neutrality:
-            for k in range(ncells):
-                here = (enc >> k) & 1
-                mirrored = (enc >> dual_idx[k]) & 1
-                if in_rq[k] != 0:
-                    if mirrored == here:
-                        ok = False
-                        break
-                elif mirrored != here:
-                    ok = False
-                    break
-        if ok and want_responsiveness:
-            for k in range(ncells):
-                here = (enc >> k) & 1
-                if here == 0:
-                    lo, hi, targets = resp_x_indptr[k], resp_x_indptr[k + 1], resp_x_targets
-                else:
-                    lo, hi, targets = resp_y_indptr[k], resp_y_indptr[k + 1], resp_y_targets
-                for j in range(lo, hi):
-                    if ((enc >> targets[j]) & 1) != here:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok and want_anonymity:
-            for i in range(ntrans):
-                for k in range(ncells):
-                    if ((enc >> trans[i, k]) & 1) != ((enc >> k) & 1):
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            if count == cap:
-                cap *= 2
-                grown = np.empty(cap, np.int64)
-                grown[:count] = out[:count]
-                out = grown
-            out[count] = enc
-            count += 1
-    return out[:count].copy()
-
-
-_scan_numba = njit(cache=True, nogil=True)(_scan_loop) if HAVE_NUMBA else None
 
 _CHUNK = 1 << 14
 
 
-def _scan_numpy(
-    start,
-    stop,
-    in_rq,
-    dual_idx,
-    resp_x_indptr,
-    resp_x_targets,
-    resp_y_indptr,
-    resp_y_targets,
-    trans,
-    want_neutrality,
-    want_responsiveness,
-    want_anonymity,
-):
+def scan_rules(
+    start: int,
+    stop: int,
+    in_rq: np.ndarray,
+    dual_idx: np.ndarray,
+    resp_x_indptr: np.ndarray,
+    resp_x_targets: np.ndarray,
+    resp_y_indptr: np.ndarray,
+    resp_y_targets: np.ndarray,
+    trans: np.ndarray,
+    want_neutrality: bool = True,
+    want_responsiveness: bool = True,
+    want_anonymity: bool = False,
+) -> np.ndarray:
+    """Encodings in [start, stop) passing the selected checks, ascending."""
     ncells = dual_idx.shape[0]
     certain = in_rq.astype(bool)
     shifts = np.arange(ncells, dtype=np.int64)
@@ -147,42 +58,3 @@ def _scan_numpy(
     if not found:
         return np.empty(0, np.int64)
     return np.concatenate(found)
-
-
-def scan_rules(
-    start: int,
-    stop: int,
-    in_rq: np.ndarray,
-    dual_idx: np.ndarray,
-    resp_x_indptr: np.ndarray,
-    resp_x_targets: np.ndarray,
-    resp_y_indptr: np.ndarray,
-    resp_y_targets: np.ndarray,
-    trans: np.ndarray,
-    want_neutrality: bool = True,
-    want_responsiveness: bool = True,
-    want_anonymity: bool = False,
-    use_numba: bool | None = None,
-) -> np.ndarray:
-    """Encodings in [start, stop) passing the selected checks, ascending."""
-    if use_numba is None:
-        use_numba = USE_NUMBA
-    impl = _scan_numpy
-    if use_numba:
-        if _scan_numba is None:
-            raise RuntimeError("numba path requested but numba is not importable")
-        impl = _scan_numba
-    return impl(
-        start,
-        stop,
-        in_rq,
-        dual_idx,
-        resp_x_indptr,
-        resp_x_targets,
-        resp_y_indptr,
-        resp_y_targets,
-        trans,
-        want_neutrality,
-        want_responsiveness,
-        want_anonymity,
-    )

@@ -33,6 +33,10 @@ EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_GUARD = 3
 
+# check walks all 3^n profiles in memory: n=10 already takes tens of
+# seconds, and n=14 would hold about 4.8 million profiles (~1.1 GB)
+_CHECK_MAX_N = 12
+
 _CHOICE_TO_PREF = {
     "X": Preference.STRICT_X,
     "Y": Preference.STRICT_Y,
@@ -90,11 +94,6 @@ def ballots_text(profile: Profile) -> str:
     for i, pref in enumerate(profile, start=1):
         lines.append(f"v{i},{_PREF_TO_CHOICE[pref]}")
     return "\n".join(lines) + "\n"
-
-
-def write_ballots(profile: Profile, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        fp.write(ballots_text(profile))
 
 
 def _emit(doc) -> None:
@@ -190,6 +189,12 @@ def check(rule_spec: str, n: int, quota: int, anonymous: bool) -> None:
     """Check a rule for anonymity, responsiveness and q-neutrality."""
     if n < 1:
         _die(EXIT_GUARD, "need at least one voter")
+    if n > _CHECK_MAX_N:
+        _die(
+            EXIT_GUARD,
+            f"check at n={n} would walk all 3^{n} = {3 ** n:,} profiles; "
+            f"the limit is n={_CHECK_MAX_N}",
+        )
     rule = _load_rule(rule_spec, n, anonymous)
     if not 0 <= quota <= n:
         _die(EXIT_GUARD, f"quota must lie in 0..{n}, got {quota}")

@@ -3,8 +3,11 @@
 A profile holds one weak ordering per voter over the pair of alternatives,
 so every voter is in exactly one of three states: strictly for X, strictly
 for Y, or indifferent. Everything in this module is a pure function on
-immutable values; profiles compare structurally and hash, so results are
-cached and safely shared across threads.
+immutable values; profiles compare structurally and hash. Four results
+are memoized without bound and shared across threads: ``tally`` and
+``dual`` per profile, ``all_profiles`` and ``adjacent_transpositions``
+per voter count. ``permute`` and ``responsive_neighbors`` are recomputed
+on every call.
 
 Canonical profile numbering: a profile is read as a base-3 integer whose
 digit for voter 0 is least significant, with digit encoding STRICT_X=0,
@@ -183,11 +186,7 @@ def permute(profile: Profile, perm: Sequence[int]) -> Profile:
 
     Rejects anything that is not a bijection on the profile's indices.
     """
-    return _permute(profile, tuple(perm))
-
-
-@lru_cache(maxsize=None)
-def _permute(profile: Profile, perm: tuple[int, ...]) -> Profile:
+    perm = tuple(perm)
     if sorted(perm) != list(range(profile.n)):
         raise ValueError(f"not a bijection on 0..{profile.n - 1}: {perm}")
     return Profile(tuple(profile.voters[j] for j in perm))
@@ -233,11 +232,6 @@ def responsive_neighbors(profile: Profile, winner: Alternative) -> tuple[Profile
     indifferent->winner. Ordered by (voter index, then indifferent before
     strict); this is the canonical neighbor order for witness reports.
     """
-    return _responsive_neighbors(profile, winner)
-
-
-@lru_cache(maxsize=None)
-def _responsive_neighbors(profile: Profile, winner: Alternative) -> tuple[Profile, ...]:
     loser_pref = strict_preference_for(winner.other)
     winner_pref = strict_preference_for(winner)
     voters = profile.voters

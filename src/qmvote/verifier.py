@@ -7,18 +7,22 @@ against the qualified majority rules with quota q: the expected outcome
 is no survivors when 2q <= n and exactly the two quota-q rules when
 2q > n.
 
-Work is partitioned over contiguous encoding ranges, so results are
-identical for any worker count; survivors come back sorted by encoding.
+Every space is swept by the one numpy kernel in ``_kernels``. Work is
+partitioned over contiguous encoding ranges, one thread per range and at
+most one range per CPU (numpy releases the interpreter lock inside its
+array operations, so the threads overlap). Results are identical for any
+worker count; survivors come back sorted by encoding.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from .rules import (
     evaluator,
     num_tally_classes,
     qualified_majority_rules,
-    rules_equal,
     tally_classes,
 )
 
@@ -165,7 +168,8 @@ def _guard(space: str, n: int, allow_long_run: bool) -> None:
 
 
 def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, workers)
+    """Contiguous spans of [0, total), one per worker; never more spans than CPUs."""
+    workers = max(1, min(workers, os.cpu_count() or 1))
     chunk = math.ceil(total / workers)
     return [(lo, min(total, lo + chunk)) for lo in range(0, total, chunk)]
 
@@ -179,7 +183,6 @@ def _scan_space(
     want_neutrality: bool,
     want_responsiveness: bool,
     want_anonymity: bool,
-    use_numba: Optional[bool],
 ) -> tuple[int, list[int]]:
     if not 0 <= q <= n:
         raise ValueError(f"quota must lie in 0..{n}, got {q}")
@@ -201,7 +204,6 @@ def _scan_space(
             want_neutrality=want_neutrality,
             want_responsiveness=want_responsiveness,
             want_anonymity=want_anonymity,
-            use_numba=use_numba,
         )
 
     spans = _ranges(total, workers)
@@ -223,7 +225,6 @@ def survivors_full(
     use_anonymity: bool = True,
     use_responsiveness: bool = True,
     use_neutrality: bool = True,
-    use_numba: Optional[bool] = None,
 ) -> list[int]:
     """Encodings of the full-space rules passing the selected axioms."""
     _guard(SPACE_FULL, n, allow_long_run)
@@ -235,7 +236,6 @@ def survivors_full(
         want_neutrality=use_neutrality,
         want_responsiveness=use_responsiveness,
         want_anonymity=use_anonymity,
-        use_numba=use_numba,
     )
     return survivors
 
@@ -248,7 +248,6 @@ def survivors_anonymous(
     allow_long_run: bool = False,
     use_responsiveness: bool = True,
     use_neutrality: bool = True,
-    use_numba: Optional[bool] = None,
 ) -> list[int]:
     """Encodings of the anonymous-space rules passing the selected axioms.
 
@@ -263,7 +262,6 @@ def survivors_anonymous(
         want_neutrality=use_neutrality,
         want_responsiveness=use_responsiveness,
         want_anonymity=False,
-        use_numba=use_numba,
     )
     return survivors
 
@@ -320,20 +318,12 @@ def _expected_named(space: str, n: int, q: int) -> dict[int, str]:
 
 
 def _matches_expected(space: str, n: int, q: int, survivors: list[int]) -> bool:
-    """Survivors-as-functions must equal the quota-q rule set, element for element."""
-    expected = sorted(qualified_majority_rules(n, q), key=lambda r: r.reform.value)
-    if not expected:
-        return not survivors
-    if len(survivors) != len(expected):
-        return False
-    decoded = [decode_rule(space, n, enc) for enc in survivors]
-    remaining = list(decoded)
-    for want in expected:
-        hits = [r for r in remaining if rules_equal(r, want, n)]
-        if len(hits) != 1:
-            return False
-        remaining.remove(hits[0])
-    return not remaining
+    """Survivors must be exactly the quota-q rule set.
+
+    Table encodings are canonical (one per rule as a function), so equal
+    encoding sets mean equal rule sets.
+    """
+    return sorted(survivors) == sorted(_expected_named(space, n, q))
 
 
 def _build_result(
@@ -360,7 +350,6 @@ def enumerate_full(
     *,
     workers: int = 1,
     allow_long_run: bool = False,
-    use_numba: Optional[bool] = None,
 ) -> VerificationResult:
     """Sweep all 2^(3^n) profile tables and intersect the three axiom sets."""
     _guard(SPACE_FULL, n, allow_long_run)
@@ -373,7 +362,6 @@ def enumerate_full(
         want_neutrality=True,
         want_responsiveness=True,
         want_anonymity=True,
-        use_numba=use_numba,
     )
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return _build_result(SPACE_FULL, n, q, examined, survivors, elapsed_ms)
@@ -385,7 +373,6 @@ def enumerate_anonymous(
     *,
     workers: int = 1,
     allow_long_run: bool = False,
-    use_numba: Optional[bool] = None,
 ) -> VerificationResult:
     """Sweep all anonymous tally tables and intersect the axiom sets.
 
@@ -403,7 +390,6 @@ def enumerate_anonymous(
         want_neutrality=True,
         want_responsiveness=True,
         want_anonymity=False,
-        use_numba=use_numba,
     )
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return _build_result(SPACE_ANONYMOUS, n, q, examined, survivors, elapsed_ms)
@@ -416,17 +402,12 @@ def verify_characterization(
     *,
     workers: int = 1,
     allow_long_run: bool = False,
-    use_numba: Optional[bool] = None,
 ) -> bool:
     """True iff the enumeration at this single q matches the expected rule set."""
     if space == SPACE_FULL:
-        result = enumerate_full(
-            n, q, workers=workers, allow_long_run=allow_long_run, use_numba=use_numba
-        )
+        result = enumerate_full(n, q, workers=workers, allow_long_run=allow_long_run)
     elif space == SPACE_ANONYMOUS:
-        result = enumerate_anonymous(
-            n, q, workers=workers, allow_long_run=allow_long_run, use_numba=use_numba
-        )
+        result = enumerate_anonymous(n, q, workers=workers, allow_long_run=allow_long_run)
     else:
         raise ValueError(f"unknown space {space!r}")
     return result.matches_theorem

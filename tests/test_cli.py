@@ -150,6 +150,14 @@ def test_check_quota_out_of_range_is_a_precondition_error():
     assert proc.returncode == 3
 
 
+def test_check_refuses_large_n_before_walking_profiles():
+    # without the guard, n=13 would build 1.6 million profiles; the timeout
+    # turns a missing guard into a failure instead of a long run
+    proc = run_cli("check", "--rule", "builtin:qm:13:X", "--n", "13", "--q", "13", timeout=10)
+    assert proc.returncode == 3
+    assert "3^13" in proc.stderr
+
+
 def test_verify_full_n2_matches_golden():
     proc = run_cli("verify", "--n", "2", "--all-q", "--space", "full", "--no-timing")
     assert proc.returncode == 0

@@ -13,6 +13,7 @@ from qmvote.rules import (
 from qmvote.axioms import run_all_checks
 from qmvote.verifier import (
     GuardError,
+    _ranges,
     enumerate_anonymous,
     enumerate_full,
     merge_profile,
@@ -246,6 +247,8 @@ def test_single_axiom_kernel_filters_match_the_checkers():
         anon, resp, _ = (r.passed for r in run_all_checks(rule, 2, 0))
         assert (bits in only_anon) == anon
         assert (bits in only_resp) == resp
+    no_checks = {"use_anonymity": False, "use_responsiveness": False, "use_neutrality": False}
+    assert survivors_full(2, 0, **no_checks) == list(range(512))
 
 
 # --- determinism ------------------------------------------------------------
@@ -258,6 +261,11 @@ def test_results_identical_across_worker_counts():
         include_timing=False
     )
     assert survivors_full(2, 2, workers=3) == survivors_full(2, 2, workers=1)
+
+
+def test_worker_count_is_capped_at_the_cpu_count():
+    # one thread runs per span, so an oversized --workers must not fan out
+    assert len(_ranges(2**21, 10**6)) <= (os.cpu_count() or 1)
 
 
 # --- corruption is always caught --------------------------------------------
