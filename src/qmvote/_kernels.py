@@ -1,4 +1,4 @@
-"""Rule-space scan kernel.
+"""Rule-space scan kernel: the sweep oracle.
 
 One vectorized numpy kernel serves both rule spaces: a rule is an
 integer whose bit k is the winner at cell k (0 = X, 1 = Y), where cells
@@ -7,6 +7,12 @@ classes in the anonymous space. Encodings are swept in fixed-size
 chunks; within a chunk the checks run as whole-array masks
 (preference-reversal pairing, then single-voter moves, then adjacent
 transpositions).
+
+The verifier searches with its 2-SAT engine and runs this kernel only
+as the oracle the tests compare that engine with, or for a library call
+that drops axioms and has more survivors than the SAT engine lists. It
+imports this module (and numpy) only then. The verifier's ``workers``
+splits this sweep into ranges and sets nothing else.
 """
 
 from __future__ import annotations
@@ -19,20 +25,27 @@ _CHUNK = 1 << 14
 def scan_rules(
     start: int,
     stop: int,
-    in_rq: np.ndarray,
-    dual_idx: np.ndarray,
-    resp_x_indptr: np.ndarray,
-    resp_x_targets: np.ndarray,
-    resp_y_indptr: np.ndarray,
-    resp_y_targets: np.ndarray,
-    trans: np.ndarray,
+    in_rq,
+    dual_idx,
+    resp_x_indptr,
+    resp_x_targets,
+    resp_y_indptr,
+    resp_y_targets,
+    trans,
     want_neutrality: bool = True,
     want_responsiveness: bool = True,
     want_anonymity: bool = False,
 ) -> np.ndarray:
-    """Encodings in [start, stop) passing the selected checks, ascending."""
+    """Encodings in [start, stop) passing the selected checks, ascending.
+
+    The tables may be lists or arrays of cell indices.
+    """
+    dual_idx = np.asarray(dual_idx, dtype=np.int64)
+    resp_x_targets = np.asarray(resp_x_targets, dtype=np.int64)
+    resp_y_targets = np.asarray(resp_y_targets, dtype=np.int64)
+    trans = np.asarray(trans, dtype=np.int64)
     ncells = dual_idx.shape[0]
-    certain = in_rq.astype(bool)
+    certain = np.asarray(in_rq, dtype=bool)
     shifts = np.arange(ncells, dtype=np.int64)
     found = []
     for lo in range(start, stop, _CHUNK):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 
 import click
@@ -203,12 +202,12 @@ def check(rule_spec: str, n: int, quota: int, anonymous: bool) -> None:
     sys.exit(EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED)
 
 
-def _run_enumerations(n, quotas, space, workers, long_run):
+def _run_enumerations(n, quotas, space, long_run):
     runner = enumerate_full if space == SPACE_FULL else enumerate_anonymous
     results = []
     for q in quotas:
         try:
-            results.append(runner(n, q, workers=workers, allow_long_run=long_run))
+            results.append(runner(n, q, allow_long_run=long_run))
         except GuardError as exc:
             _die(EXIT_GUARD, str(exc))
         except ValueError as exc:
@@ -226,18 +225,21 @@ def _run_enumerations(n, quotas, space, workers, long_run):
     default=SPACE_FULL,
     show_default=True,
 )
-@click.option("--workers", type=int, default=None, help="Defaults to the CPU count.")
 @click.option("--no-timing", "no_timing", is_flag=True, help="Omit elapsed_ms from reports.")
-@click.option("--long-run", "long_run", is_flag=True, help="Allow the flagged large sweeps.")
-def verify(n, quota, all_q, space, workers, no_timing, long_run) -> None:
+@click.option(
+    "--long-run",
+    "long_run",
+    is_flag=True,
+    help="Raise the cell cap from 2,500 to the 14,000-cell long-run bound.",
+)
+def verify(n, quota, all_q, space, no_timing, long_run) -> None:
     """Enumerate a rule space and compare survivors against the quota rules."""
     if (quota is None) and not all_q:
         _die(EXIT_BAD_INPUT, "provide --q or --all-q")
     if (quota is not None) and all_q:
         _die(EXIT_BAD_INPUT, "--q and --all-q are mutually exclusive")
-    workers = workers or os.cpu_count() or 1
     quotas = range(n + 1) if all_q else [quota]
-    results = _run_enumerations(n, quotas, space, workers, long_run)
+    results = _run_enumerations(n, quotas, space, long_run)
     _emit([r.to_json_dict(include_timing=not no_timing) for r in results])
     sys.exit(EXIT_OK if all(r.matches_theorem for r in results) else EXIT_FAILED)
 
@@ -251,13 +253,16 @@ def verify(n, quota, all_q, space, workers, no_timing, long_run) -> None:
     default=SPACE_FULL,
     show_default=True,
 )
-@click.option("--workers", type=int, default=None, help="Defaults to the CPU count.")
 @click.option("--no-timing", "no_timing", is_flag=True, help="Omit elapsed_ms from the report.")
-@click.option("--long-run", "long_run", is_flag=True, help="Allow the flagged large sweeps.")
-def enumerate_cmd(n, quota, space, workers, no_timing, long_run) -> None:
+@click.option(
+    "--long-run",
+    "long_run",
+    is_flag=True,
+    help="Raise the cell cap from 2,500 to the 14,000-cell long-run bound.",
+)
+def enumerate_cmd(n, quota, space, no_timing, long_run) -> None:
     """Like verify for one quota, but include each survivor's full table."""
-    workers = workers or os.cpu_count() or 1
-    result = _run_enumerations(n, [quota], space, workers, long_run)[0]
+    result = _run_enumerations(n, [quota], space, long_run)[0]
     doc = result.to_json_dict(include_timing=not no_timing)
     for entry in doc["survivors"]:
         entry["table"] = decode_rule(space, n, entry["encoding"]).to_line()

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -12,8 +13,11 @@ from qmvote.rules import (
 )
 from qmvote.axioms import run_all_checks
 from qmvote.verifier import (
+    SPACE_ANONYMOUS,
+    SPACE_FULL,
     GuardError,
     _ranges,
+    _sweep_survivors,
     enumerate_anonymous,
     enumerate_full,
     merge_profile,
@@ -119,18 +123,49 @@ def test_contradiction_not_applicable_for_qualified_quotas():
 
 def test_full_space_guards():
     with pytest.raises(GuardError, match="anonymous"):
-        enumerate_full(3, 2)
+        _sweep_survivors(SPACE_FULL, 3, 2)
     with pytest.raises(GuardError):
-        enumerate_full(4, 2, allow_long_run=True)
+        _sweep_survivors(SPACE_FULL, 4, 2, allow_long_run=True)
     with pytest.raises(GuardError):
-        enumerate_full(1, 0)
+        _sweep_survivors(SPACE_FULL, 1, 0)
 
 
 def test_anonymous_space_guards():
     with pytest.raises(GuardError, match="long-run"):
-        enumerate_anonymous(6, 4)
+        _sweep_survivors(SPACE_ANONYMOUS, 6, 4)
     with pytest.raises(GuardError):
-        enumerate_anonymous(7, 4, allow_long_run=True)
+        _sweep_survivors(SPACE_ANONYMOUS, 7, 4, allow_long_run=True)
+
+
+def test_sat_cell_cap():
+    # full n=8 has 6561 cells and anonymous n=70 has 2556, both past 2500
+    with pytest.raises(GuardError, match="anonymous space"):
+        enumerate_full(8, 5)
+    with pytest.raises(GuardError, match="long-run"):
+        enumerate_anonymous(70, 36)
+    with pytest.raises(GuardError):
+        enumerate_full(1, 0)
+
+
+def test_sat_long_run_lifts_the_cell_cap_to_its_own_bound():
+    result = enumerate_anonymous(70, 36, allow_long_run=True)
+    assert result.matches_theorem and len(result.survivors) == 2
+    # anonymous n=167 has 14,196 cells, past the 14,000-cell long-run bound
+    with pytest.raises(GuardError, match="long-run limit"):
+        enumerate_anonymous(167, 84, allow_long_run=True)
+    with pytest.raises(GuardError, match="long-run limit"):
+        enumerate_full(9, 5, allow_long_run=True)
+
+
+def test_sat_survivor_cap():
+    no_axioms = dict(use_neutrality=False, use_responsiveness=False)
+    # 2^15 survivors at n=4 stay under the cap, listed in ascending order
+    assert survivors_anonymous(4, 2, **no_axioms) == list(range(2**15))
+    # all 2^21 anonymous n=5 tables survive; the sweep lists them instead
+    assert survivors_anonymous(5, 3, **no_axioms) == list(range(2**21))
+    # at n=6 the sweep needs the long-run flag, so the call is refused
+    with pytest.raises(GuardError, match="more than 65,536"):
+        survivors_anonymous(6, 3, **no_axioms)
 
 
 def test_bad_quota_rejected():
@@ -255,16 +290,15 @@ def test_single_axiom_kernel_filters_match_the_checkers():
 
 
 def test_results_identical_across_worker_counts():
-    lone = enumerate_anonymous(4, 2, workers=1)
-    pooled = enumerate_anonymous(4, 2, workers=8)
-    assert lone.to_json_dict(include_timing=False) == pooled.to_json_dict(
-        include_timing=False
-    )
-    assert survivors_full(2, 2, workers=3) == survivors_full(2, 2, workers=1)
+    # only the sweep splits its work; the split must not change its result
+    full = [_sweep_survivors(SPACE_FULL, 2, 2, workers=w) for w in (1, 3)]
+    assert full[0] == full[1] == survivors_full(2, 2)
+    anonymous = [_sweep_survivors(SPACE_ANONYMOUS, 4, 2, workers=w) for w in (1, 8)]
+    assert anonymous[0] == anonymous[1] == survivors_anonymous(4, 2)
 
 
 def test_worker_count_is_capped_at_the_cpu_count():
-    # one thread runs per span, so an oversized --workers must not fan out
+    # one thread runs per span, so an oversized worker count must not fan out
     assert len(_ranges(2**21, 10**6)) <= (os.cpu_count() or 1)
 
 
@@ -309,23 +343,113 @@ def test_full_n3_window_scan_finds_exactly_the_quota_rule():
     assert [int(v) for v in found] == [enc]
 
 
+# --- the SAT engine against the sweep oracle --------------------------------
+
+AXIOM_SUBSETS = [
+    dict(use_anonymity=a, use_responsiveness=r, use_neutrality=u)
+    for a, r, u in itertools.product((True, False), repeat=3)
+]
+# anonymity holds by construction in the anonymous space
+ANONYMOUS_SUBSETS = [
+    dict(use_responsiveness=r, use_neutrality=u)
+    for r, u in itertools.product((True, False), repeat=2)
+]
+
+
+def sweep_checks(axioms):
+    """The sweep's check switches for a set of ``use_*`` axiom switches."""
+    return {"want_" + name[len("use_"):]: on for name, on in axioms.items()}
+
+
+def test_engines_agree_on_the_full_space_n2():
+    for q in range(3):
+        for axioms in AXIOM_SUBSETS:
+            sweep = _sweep_survivors(SPACE_FULL, 2, q, **sweep_checks(axioms))
+            assert survivors_full(2, q, **axioms) == sweep, (q, axioms)
+
+
+def test_engines_agree_on_the_anonymous_spaces_n2_to_n5():
+    for n in range(2, 6):
+        for q in range(n + 1):
+            for axioms in ANONYMOUS_SUBSETS:
+                checks = sweep_checks(axioms)
+                sweep = _sweep_survivors(SPACE_ANONYMOUS, n, q, workers=2, **checks)
+                assert survivors_anonymous(n, q, **axioms) == sweep, (n, q, axioms)
+
+
+def quota_rule_encodings(cell_counts, q):
+    """Encodings of the two quota-q rules from each cell's (n_x, n_y), the
+    reform winning where its strict supporters reach q (bit 1 = Y wins)."""
+    x_reform = sum(1 << k for k, (nx, _) in enumerate(cell_counts) if nx < q)
+    y_reform = sum(1 << k for k, (_, ny) in enumerate(cell_counts) if ny >= q)
+    return sorted({x_reform, y_reform})
+
+
+def full_cell_counts(n):
+    counts = []
+    for index in range(3**n):
+        digits = [(index // 3**i) % 3 for i in range(n)]
+        counts.append((digits.count(0), digits.count(1)))
+    return counts
+
+
+def test_sat_theorem_full_n3_to_n5():
+    for n in range(3, 6):
+        counts = full_cell_counts(n)
+        for q in range(n + 1):
+            want = quota_rule_encodings(counts, q) if 2 * q > n else []
+            assert survivors_full(n, q) == want, (n, q)
+            result = enumerate_full(n, q)
+            assert result.rules_examined == 2 ** 3**n
+            assert result.matches_theorem
+
+
+def test_sat_theorem_anonymous_n6_to_n20():
+    for n in range(6, 21):
+        counts = [(nx, ny) for nx in range(n + 1) for ny in range(n + 1 - nx)]
+        for q in range(n + 1):
+            want = quota_rule_encodings(counts, q) if 2 * q > n else []
+            assert survivors_anonymous(n, q) == want, (n, q)
+            assert enumerate_anonymous(n, q).matches_theorem
+
+
+def test_full_n3_long_run_theorem():
+    for q in range(4):
+        result = enumerate_full(3, q, allow_long_run=True)
+        assert result.rules_examined == 2**27
+        assert result.matches_theorem
+
+
+def test_anonymous_n6_long_run_theorem():
+    for q in range(7):
+        result = enumerate_anonymous(6, q, allow_long_run=True)
+        assert result.rules_examined == 2**28
+        assert result.matches_theorem
+
+
 @pytest.mark.skipif(
     not os.environ.get("QMVOTE_LONG_TESTS"),
     reason="full n=3 sweep is behind QMVOTE_LONG_TESTS=1",
 )
-def test_full_n3_long_run_theorem():
+def test_full_n3_long_run_theorem_sweep():
+    counts = full_cell_counts(3)
     for q in range(4):
-        result = enumerate_full(3, q, workers=os.cpu_count() or 1, allow_long_run=True)
-        assert result.rules_examined == 2**27
-        assert result.matches_theorem
+        want = quota_rule_encodings(counts, q) if 2 * q > 3 else []
+        found = _sweep_survivors(
+            SPACE_FULL, 3, q, workers=os.cpu_count() or 1, allow_long_run=True
+        )
+        assert found == want, q
 
 
 @pytest.mark.skipif(
     not os.environ.get("QMVOTE_LONG_TESTS"),
     reason="anonymous n=6 sweep is behind QMVOTE_LONG_TESTS=1",
 )
-def test_anonymous_n6_long_run_theorem():
+def test_anonymous_n6_long_run_theorem_sweep():
+    counts = [(nx, ny) for nx in range(7) for ny in range(7 - nx)]
     for q in range(7):
-        result = enumerate_anonymous(6, q, workers=os.cpu_count() or 1, allow_long_run=True)
-        assert result.rules_examined == 2**28
-        assert result.matches_theorem
+        want = quota_rule_encodings(counts, q) if 2 * q > 6 else []
+        found = _sweep_survivors(
+            SPACE_ANONYMOUS, 6, q, workers=os.cpu_count() or 1, allow_long_run=True
+        )
+        assert found == want, q
