@@ -7,7 +7,10 @@ immutable values; profiles compare structurally and hash. Four results
 are memoized without bound and shared across threads: ``tally`` and
 ``dual`` per profile, ``all_profiles`` and ``adjacent_transpositions``
 per voter count. ``permute`` and ``responsive_neighbors`` are recomputed
-on every call.
+on every call. These operations serve the profile-level checkers in
+``axioms`` (the oracle), the rule encoders and the proof helpers; the
+verifier builds its index tables, and ``qmvote check`` its scans, from
+base-3 digit arithmetic on profile indices instead.
 
 Canonical profile numbering: a profile is read as a base-3 integer whose
 digit for voter 0 is least significant, with digit encoding STRICT_X=0,

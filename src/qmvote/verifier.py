@@ -13,7 +13,16 @@ rules that fail, so its cost follows the cell count, and
 ``rules_examined`` still reports the 2^cells rules the space holds. It
 is guarded by a cell cap and a survivor cap.
 
-``_sweep_survivors`` is the oracle the tests compare it with: the numpy
+The index tables behind both spaces are built arithmetically, with no
+``Profile`` objects: ``_profile_cells`` reads every full-space relation
+(dual, adjacent transpositions, single-voter moves) off the base-3
+digits of a profile's index, and ``_tally_cells`` reads the anonymous
+ones off the tally classes. ``run_table_checks``, behind ``qmvote
+check``, scans one rule's output column against the full-space tables and
+stops at the first violation of each axiom in canonical order; the
+profile-level checkers in ``axioms`` are the oracle it is tested against.
+
+``_sweep_survivors`` is the oracle the tests compare the search with: the numpy
 kernel in ``_kernels`` tests every encoding, over contiguous ranges split
 across at most one thread per CPU (numpy releases the interpreter lock
 inside its array operations, so the threads overlap). ``workers`` sets
@@ -28,32 +37,33 @@ from __future__ import annotations
 import math
 import os
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import accumulate, repeat
+from typing import NamedTuple, Optional, Sequence
 
 from . import _twosat
+from .axioms import ANONYMITY, Q_NEUTRALITY, RESPONSIVENESS, AxiomReport, Witness
 from .core import (
     Alternative,
     Preference,
     Profile,
-    adjacent_transpositions,
-    all_profiles,
     dual,
     permute,
-    responsive_neighbors,
     strict_preference_for,
     tally,
 )
 from .rules import (
     AnonymousTableRule,
+    QualifiedMajorityRule,
     TableRule,
     evaluator,
     num_tally_classes,
     qualified_majority_rules,
+    tally_class_index,
     tally_classes,
-    threshold_table_rule,
 )
 
 SPACE_FULL = "full"
@@ -79,14 +89,14 @@ class GuardError(ValueError):
 
 class _Cells(NamedTuple):
     ncells: int
-    nx: list[int]
-    ny: list[int]
-    dual_idx: list[int]
-    resp_x_indptr: list[int]
-    resp_x_targets: list[int]
-    resp_y_indptr: list[int]
-    resp_y_targets: list[int]
-    trans: list[list[int]]
+    nx: Sequence[int]
+    ny: Sequence[int]
+    dual_idx: Sequence[int]
+    resp_x_indptr: Sequence[int]
+    resp_x_targets: Sequence[int]
+    resp_y_indptr: Sequence[int]
+    resp_y_targets: Sequence[int]
+    trans: list[Sequence[int]]
 
 
 def _csr(target_lists: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -96,23 +106,69 @@ def _csr(target_lists: list[list[int]]) -> tuple[list[int], list[int]]:
     return indptr, [t for targets in target_lists for t in targets]
 
 
-@lru_cache(maxsize=None)
+# A profile index is a base-3 number, voter i's digit weighing 3^i (0 =
+# STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT). Per digit, the digit changes of
+# one voter's move toward X or toward Y, indifferent before strict, as in
+# core.responsive_neighbors; and the digit each state takes in the dual.
+_TOWARD_X = ((), (1, -1), (-2,))
+_TOWARD_Y = ((2, 1), (), (-1,))
+_DUAL_DIGIT = (1, 0, 2)
+
+
+def _digit_sums(n: int, value, start=0) -> list:
+    """Per index of n base-3 digits, ``start`` plus the sum over digits i,
+    lowest first, of ``value(i, digit i)``; tuple values concatenate."""
+    sums = [start]
+    for i in range(n):
+        sums = [s + add for add in (value(i, 0), value(i, 1), value(i, 2)) for s in sums]
+    return sums
+
+
+def _moves(n: int, toward) -> tuple[array, array]:
+    """The single-voter moves of every profile as CSR (indptr, targets).
+
+    A profile's moves are those of its low n//2 voters followed by those
+    of its high voters, so two small tables of index changes, one per
+    half, give every target."""
+
+    def deltas(k: int, first: int) -> list[tuple[int, ...]]:
+        return _digit_sums(k, lambda i, d: tuple(s * 3 ** (first + i) for s in toward[d]), ())
+
+    low_n = n // 2
+    low, high = deltas(low_n, 0), deltas(n - low_n, low_n)
+    counts = (len(head) + len(tail) for tail in high for head in low)
+    indptr = array("i", accumulate(counts, initial=0))
+    targets = array("i")
+    for h, tail in enumerate(high):
+        targets.extend([p + d for p, head in enumerate(low, h * len(low)) for d in head + tail])
+    return indptr, targets
+
+
+def _swap_weight(j: int, i: int) -> int:
+    """3^i with the places of voters j and j+1 exchanged."""
+    return 3 ** (j + 1) if i == j else 3**j if i == j + 1 else 3**i
+
+
+@lru_cache(maxsize=4)
 def _profile_cells(n: int) -> _Cells:
-    """Index tables for the full space: one cell per profile."""
-    profiles = all_profiles(n)
-    count = len(profiles)
-    nx = [tally(p).n_x for p in profiles]
-    ny = [tally(p).n_y for p in profiles]
-    dual_idx = [dual(p).index for p in profiles]
-    resp_x = [[r.index for r in responsive_neighbors(p, Alternative.X)] for p in profiles]
-    resp_y = [[r.index for r in responsive_neighbors(p, Alternative.Y)] for p in profiles]
-    xi, xt = _csr(resp_x)
-    yi, yt = _csr(resp_y)
-    trans = [[permute(p, t).index for p in profiles] for t in adjacent_transpositions(n)]
-    return _Cells(count, nx, ny, dual_idx, xi, xt, yi, yt, trans)
+    """Index tables for the full space: one cell per profile.
+
+    Built from base-3 digit arithmetic alone, without Profile objects;
+    the test suite checks them against tables built through the
+    profile-level operations in ``core``."""
+    nx = array("i", _digit_sums(n, lambda i, d: int(d == 0)))
+    ny = array("i", _digit_sums(n, lambda i, d: int(d == 1)))
+    dual_idx = array("i", _digit_sums(n, lambda i, d: _DUAL_DIGIT[d] * 3**i))
+    xi, xt = _moves(n, _TOWARD_X)
+    yi, yt = _moves(n, _TOWARD_Y)
+    trans = [
+        array("i", _digit_sums(n, lambda i, d, j=j: d * _swap_weight(j, i)))
+        for j in range(n - 1)
+    ]
+    return _Cells(3**n, nx, ny, dual_idx, xi, xt, yi, yt, trans)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _tally_cells(n: int) -> _Cells:
     """Index tables for the anonymous space: one cell per tally class.
 
@@ -146,6 +202,121 @@ def _tally_cells(n: int) -> _Cells:
     xi, xt = _csr(resp_x)
     yi, yt = _csr(resp_y)
     return _Cells(len(classes), nx, ny, dual_idx, xi, xt, yi, yt, [])
+
+
+# Output columns: one byte per cell, the winner there (0 = X, 1 = Y).
+_BIT_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\0\1")
+_WINNER = (Alternative.X, Alternative.Y)
+
+
+def _bits_column(bits: int, ncells: int) -> bytes:
+    """The output column of a table encoding (bit k = winner at cell k)."""
+    return format(bits, f"0{ncells}b")[::-1].encode().translate(_DIGIT_TO_BIT)
+
+
+def _column_bits(column: bytes) -> int:
+    """The table encoding of an output column."""
+    return int(column[::-1].translate(_BIT_TO_DIGIT), 2)
+
+
+def _quota_column(cells: _Cells, q: int, reform: Alternative) -> bytes:
+    """The output column of the quota-q rule with this reform: the reform
+    wins where its strict supporters reach q."""
+    if reform is Alternative.X:
+        return bytes(int(x < q) for x in cells.nx)
+    return bytes(int(y >= q) for y in cells.ny)
+
+
+def _rule_column(rule, n: int, cells: _Cells) -> bytes:
+    """A rule's output column over the full-space tables, read off its
+    definition without evaluating any profile."""
+    if getattr(rule, "n", n) != n:
+        raise ValueError(f"rule is for n={rule.n}, checked at n={n}")
+    if isinstance(rule, TableRule):
+        return _bits_column(rule.bits, cells.ncells)
+    if isinstance(rule, AnonymousTableRule):
+        by_class = _bits_column(rule.bits, num_tally_classes(n))
+        classes = map(tally_class_index, repeat(n), cells.nx, cells.ny)
+        return bytes(map(by_class.__getitem__, classes))
+    if isinstance(rule, QualifiedMajorityRule):
+        return _quota_column(cells, rule.q, rule.reform)
+    raise TypeError(f"no output column for {type(rule).__name__}")
+
+
+# Each scan returns its first violation as (profile, counterpart, winner
+# the axiom requires at the counterpart), or None when the rule passes.
+_Violation = Optional[tuple[int, int, int]]
+
+
+def _first_anonymity_violation(cells: _Cells, out: bytes) -> _Violation:
+    """The first profile and transposed profile with different winners, by
+    profile index and then transposition index."""
+    first = None
+    for column in cells.trans:
+        # a later transposition comes first only at an earlier profile
+        for p in range(cells.ncells if first is None else first[0]):
+            if out[column[p]] != out[p]:
+                first = (p, column[p], out[p])
+                break
+    return first
+
+
+def _first_responsiveness_violation(cells: _Cells, out: bytes) -> _Violation:
+    """The first profile and move toward its winner that loses the winner,
+    by profile index and then canonical move order."""
+    tables = (
+        (cells.resp_x_indptr, cells.resp_x_targets),
+        (cells.resp_y_indptr, cells.resp_y_targets),
+    )
+    for p, winner in enumerate(out):
+        indptr, targets = tables[winner]
+        for j in range(indptr[p], indptr[p + 1]):
+            if out[targets[j]] != winner:
+                return p, targets[j], winner
+    return None
+
+
+def _first_neutrality_violation(cells: _Cells, out: bytes, q: int) -> _Violation:
+    """The first profile whose dual breaks q-neutrality: the winner must
+    swap under reversal exactly inside R_q."""
+    for p, (d, x, y) in enumerate(zip(cells.dual_idx, cells.nx, cells.ny)):
+        required = out[p] ^ (max(x, y) >= q)
+        if out[d] != required:
+            return p, d, required
+    return None
+
+
+def _report(
+    axiom: str, n: int, out: bytes, found: _Violation, q: Optional[int] = None
+) -> AxiomReport:
+    if found is None:
+        return AxiomReport(axiom, True, q=q)
+    p, t, expected = found
+    witness = Witness(
+        Profile.from_index(n, p), Profile.from_index(n, t), _WINNER[expected], _WINNER[out[t]]
+    )
+    return AxiomReport(axiom, False, witness, q=q)
+
+
+def run_table_checks(rule, n: int, q: int) -> list[AxiomReport]:
+    """``axioms.run_all_checks(rule, n, q)``, witnesses included, as scans of
+    the rule's output column against the full-space index tables.
+
+    Each check stops at its first violation in the same canonical order as
+    the profile-level checker. ``rule`` is a ``TableRule``, an
+    ``AnonymousTableRule`` or a ``QualifiedMajorityRule``; an anonymous
+    table is lifted to the profiles, so its witnesses name profiles too.
+    """
+    if not 0 <= q <= n:
+        raise ValueError(f"quota must lie in 0..{n}, got {q}")
+    cells = _profile_cells(n)
+    out = _rule_column(rule, n, cells)
+    return [
+        _report(ANONYMITY, n, out, _first_anonymity_violation(cells, out)),
+        _report(RESPONSIVENESS, n, out, _first_responsiveness_violation(cells, out)),
+        _report(Q_NEUTRALITY, n, out, _first_neutrality_violation(cells, out, q), q=q),
+    ]
 
 
 def _num_cells(space: str, n: int) -> int:
@@ -396,19 +567,13 @@ def decode_rule(space: str, n: int, encoding: int):
 
 
 def _expected_named(space: str, n: int, q: int) -> dict[int, str]:
-    """Canonical encodings of the quota-q qualified majority rules.
-
-    An anonymous table is built from the tally classes directly, since
-    building one representative profile per class costs O(n) each.
-    """
-    out = {}
-    for rule in qualified_majority_rules(n, q):
-        if space == SPACE_FULL:
-            enc = TableRule.from_rule(rule, n).bits
-        else:
-            enc = threshold_table_rule(n, rule.q, rule.reform).bits
-        out[enc] = rule.pretty()
-    return out
+    """Canonical encodings of the quota-q qualified majority rules, read off
+    the cells' tally columns."""
+    cells = _profile_cells(n) if space == SPACE_FULL else _tally_cells(n)
+    return {
+        _column_bits(_quota_column(cells, rule.q, rule.reform)): rule.pretty()
+        for rule in qualified_majority_rules(n, q)
+    }
 
 
 def _build_result(

@@ -6,6 +6,7 @@ fixture keeps compilation out of the timed sections.
 """
 
 import json
+import random
 import subprocess
 import sys
 import time
@@ -45,6 +46,7 @@ from qmvote.verifier import (
     _sweep_survivors,
     enumerate_anonymous,
     enumerate_full,
+    run_table_checks,
     survivors_anonymous,
     unqualified_quota_contradiction,
 )
@@ -215,6 +217,34 @@ def test_checker_cross_validation():
                 if check_q_neutrality(AnonymousTableRule(n, bits), n, q).passed
             }
             assert neutral_tally == neutral_profile, (n, q)
+
+
+def test_table_level_check_matches_the_profile_level_checkers():
+    """check's scan over the index tables emits the JSON of run_all_checks
+    byte for byte, witnesses included, on seeded rules up to n=6."""
+    rng = random.Random(20261018)
+
+    def assert_same(rule, n, q):
+        want = json.dumps([r.to_json_dict() for r in run_all_checks(rule, n, q)], indent=2)
+        got = json.dumps([r.to_json_dict() for r in run_table_checks(rule, n, q)], indent=2)
+        assert got == want, (rule, q)
+
+    for n in range(1, 7):
+        cells = 3**n
+        for _ in range(4):
+            q = rng.randrange(n + 1)
+            assert_same(TableRule(n, rng.getrandbits(cells)), n, q)
+            assert_same(AnonymousTableRule(n, rng.getrandbits(num_tally_classes(n))), n, q)
+        for q in qualified_quotas(n):
+            for reform in (X, Y):
+                rule = QualifiedMajorityRule(n, q, reform)
+                assert_same(rule, n, q)
+                assert_same(rule, n, n // 2)  # an unqualified quota
+                bits = TableRule.from_rule(rule, n).bits
+                for low in (0, 2 * cells // 3):
+                    # flip one to three cells anywhere, then late in canonical order
+                    flips = rng.sample(range(low, cells), min(rng.randint(1, 3), cells - low))
+                    assert_same(TableRule(n, bits ^ sum(1 << k for k in flips)), n, q)
 
 
 def test_verify_reports_identical_across_worker_counts():

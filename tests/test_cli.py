@@ -179,6 +179,15 @@ def test_verify_guard_violation_exits_3():
     assert "anonymous" in proc.stderr
 
 
+def test_verify_all_q_needs_two_voters():
+    # with no voters there are no quotas either; the run must not pass on none
+    for n in ("-1", "0", "1"):
+        proc = run_cli("verify", "--n", n, "--all-q")
+        assert proc.returncode == 3, n
+        assert proc.stdout == ""
+        assert "needs at least two voters" in proc.stderr
+
+
 def test_verify_needs_exactly_one_quota_option():
     assert run_cli("verify", "--n", "2").returncode == 2
     assert run_cli("verify", "--n", "2", "--q", "1", "--all-q").returncode == 2

@@ -3,7 +3,16 @@ import os
 
 import pytest
 
-from qmvote.core import Alternative, Profile, dual, permute, tally
+from qmvote.core import (
+    Alternative,
+    Profile,
+    adjacent_transpositions,
+    all_profiles,
+    dual,
+    permute,
+    responsive_neighbors,
+    tally,
+)
 from qmvote.rules import (
     AnonymousTableRule,
     QualifiedMajorityRule,
@@ -16,6 +25,9 @@ from qmvote.verifier import (
     SPACE_ANONYMOUS,
     SPACE_FULL,
     GuardError,
+    _Cells,
+    _csr,
+    _profile_cells,
     _ranges,
     _sweep_survivors,
     enumerate_anonymous,
@@ -116,6 +128,33 @@ def test_contradiction_not_applicable_for_qualified_quotas():
     rule = threshold_table_rule(3, 2, X)
     with pytest.raises(ValueError):
         unqualified_quota_contradiction(rule, 3, 2)
+
+
+# --- index tables -----------------------------------------------------------
+
+
+def reference_profile_cells(n):
+    """The full-space tables built through Profile objects and the
+    profile-level operations of ``core``."""
+    profiles = all_profiles(n)
+    nx = [tally(p).n_x for p in profiles]
+    ny = [tally(p).n_y for p in profiles]
+    dual_idx = [dual(p).index for p in profiles]
+    resp_x = [[r.index for r in responsive_neighbors(p, X)] for p in profiles]
+    resp_y = [[r.index for r in responsive_neighbors(p, Y)] for p in profiles]
+    xi, xt = _csr(resp_x)
+    yi, yt = _csr(resp_y)
+    trans = [[permute(p, t).index for p in profiles] for t in adjacent_transpositions(n)]
+    return _Cells(len(profiles), nx, ny, dual_idx, xi, xt, yi, yt, trans)
+
+
+def test_arithmetic_profile_tables_match_the_profile_level_reference():
+    for n in range(1, 7):
+        cells, want = _profile_cells(n), reference_profile_cells(n)
+        assert cells.ncells == want.ncells == 3**n
+        for field in _Cells._fields[1:-1]:
+            assert list(getattr(cells, field)) == getattr(want, field), (n, field)
+        assert [list(column) for column in cells.trans] == want.trans, n
 
 
 # --- enumeration guard rails ------------------------------------------------
@@ -323,7 +362,6 @@ def test_full_n3_window_scan_finds_exactly_the_quota_rule():
     import numpy as np
 
     from qmvote import _kernels
-    from qmvote.verifier import _profile_cells
 
     enc = TableRule.from_rule(QualifiedMajorityRule(3, 2, X), 3).bits
     cells = _profile_cells(3)
