@@ -7,16 +7,12 @@ exactly the solutions of a 2-CNF. A literal ``2*k + v`` stands for
 an implication graph, each clause ``a or b`` as the two edges
 ``not a => b`` and ``not b => a``.
 
-Satisfiability is decided by strongly connected components of that graph
-(Aspvall, Plass & Tarjan 1979): the formula is unsatisfiable iff some
-bit shares a component with its negation. Solutions of a satisfiable
-formula are then enumerated by branching on the highest free bit, 0
-before 1, and propagating its implications. When propagation ends
-without a conflict, the clauses left over mention only free bits and are
-a subset of the original satisfiable clauses, so no branch dead-ends
-below that point (Even, Itai & Shamir 1976): the delay between two
-solutions is polynomial, and solutions come out in ascending encoding
-order.
+Solutions are enumerated by branching on the highest free bit, 0 before
+1, and propagating its implications, so they come out in ascending
+encoding order. The first descent also decides satisfiability: a
+satisfiable formula never reaches a free bit that takes neither value
+(Even, Itai & Shamir 1976), so the first such bit proves the formula
+unsatisfiable, and the delay between two solutions is polynomial.
 """
 
 from __future__ import annotations
@@ -54,50 +50,9 @@ def implications(
     return implied
 
 
-def satisfiable(implied: list[list[int]]) -> bool:
-    """False iff some literal and its negation imply each other, found with
-    an iterative Tarjan pass over the implication graph."""
-    count = len(implied)
-    order = [-1] * count
-    low = [0] * count
-    comp = [-1] * count
-    stack: list[int] = []
-    seen = components = 0
-    for root in range(count):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = seen
-        seen += 1
-        stack.append(root)
-        work = [(root, iter(implied[root]))]
-        while work:
-            node, successors = work[-1]
-            for nxt in successors:
-                if order[nxt] < 0:
-                    order[nxt] = low[nxt] = seen
-                    seen += 1
-                    stack.append(nxt)
-                    work.append((nxt, iter(implied[nxt])))
-                    break
-                if comp[nxt] < 0 and order[nxt] < low[node]:  # nxt is still on the stack
-                    low[node] = order[nxt]
-            else:
-                work.pop()
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
-                if low[node] == order[node]:
-                    while True:
-                        member = stack.pop()
-                        comp[member] = components
-                        if member == node:
-                            break
-                    components += 1
-    return all(comp[lit] != comp[lit + 1] for lit in range(0, count, 2))
-
-
 def solutions(implied: list[list[int]], limit: int) -> list[int]:
-    """Encodings of a satisfiable formula's solutions, ascending, stopping
-    once ``limit`` have been found."""
+    """Encodings of the formula's solutions, ascending, stopping once
+    ``limit`` have been found; empty when it is unsatisfiable."""
     nbits = len(implied) // 2
     value = [-1] * nbits
     trail: list[int] = []
@@ -137,10 +92,14 @@ def solutions(implied: list[list[int]], limit: int) -> list[int]:
     while len(found) < limit:
         while bit >= 0 and value[bit] >= 0:
             bit -= 1
-        if bit >= 0 and branch(bit, 0):
-            continue
-        if bit < 0:
-            found.append(int("".join("01"[v] for v in reversed(value)), 2))
+        if bit >= 0:
+            if branch(bit, 0):
+                continue
+            # the assignment so far is closed and conflict-free, so the clauses
+            # left over are original ones over free bits (Even, Itai & Shamir):
+            # only an unsatisfiable formula reaches a bit that takes neither value
+            return []
+        found.append(int("".join("01"[v] for v in reversed(value)), 2))
         # back up to the latest choice that can still take the value 1
         while choices:
             bit, mark, v = choices.pop()
@@ -160,4 +119,4 @@ def solve(
     implied = implications(
         cells, in_rq, neutrality=neutrality, responsiveness=responsiveness, anonymity=anonymity
     )
-    return solutions(implied, limit) if satisfiable(implied) else []
+    return solutions(implied, limit)

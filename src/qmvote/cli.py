@@ -85,7 +85,11 @@ def read_ballots_text(text: str) -> Profile:
 
 def read_ballots(path: str) -> Profile:
     with open(path, "r", encoding="utf-8", newline="") as fp:
-        return read_ballots_text(fp.read())
+        try:
+            text = fp.read()
+        except UnicodeDecodeError as exc:
+            raise BallotError(f"{path} is not UTF-8 text: {exc}") from None
+    return read_ballots_text(text)
 
 
 def ballots_text(profile: Profile) -> str:
@@ -127,6 +131,8 @@ def _load_rule(spec: str, n: int, anonymous: bool):
             line = fp.read()
     except OSError as exc:
         _die(EXIT_BAD_INPUT, str(exc))
+    except UnicodeDecodeError as exc:
+        _die(EXIT_BAD_INPUT, f"{spec} is not UTF-8 text: {exc}")
     try:
         if anonymous:
             return AnonymousTableRule.from_line(n, line)
@@ -211,9 +217,7 @@ def _run_enumerations(n, quotas, space, long_run):
     for q in quotas:
         try:
             results.append(runner(n, q, allow_long_run=long_run))
-        except GuardError as exc:
-            _die(EXIT_GUARD, str(exc))
-        except ValueError as exc:
+        except ValueError as exc:  # GuardError included
             _die(EXIT_GUARD, str(exc))
     return results
 

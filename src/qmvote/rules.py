@@ -10,6 +10,7 @@ its enumeration index and sweeping a rule space is a plain integer range.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -54,6 +55,29 @@ def tally_class_index(n: int, n_x: int, n_y: int) -> int:
     if n_x < 0 or n_y < 0 or n_x + n_y > n:
         raise ValueError(f"({n_x}, {n_y}) is not a tally class for n={n}")
     return n_x * (n + 1) - n_x * (n_x - 1) // 2 + n_y
+
+
+# Table lines: character k is the output on cell k, X for bit 0, Y for bit 1.
+_DIGITS_TO_XY = str.maketrans("01", "XY")
+_XY_TO_DIGITS = str.maketrans("XY", "01")
+_NOT_XY = re.compile("[^XY]")
+
+
+def _table_line(bits: int, width: int) -> str:
+    """The X/Y line of a table encoding over ``width`` cells."""
+    return format(bits, f"0{width}b")[::-1].translate(_DIGITS_TO_XY)
+
+
+def _line_bits(line: str, width: int, table: str) -> int:
+    """The encoding of a table line, which must hold ``width`` X/Y characters."""
+    text = line.strip()
+    if len(text) != width:
+        raise ValueError(f"{table} needs {width} characters, got {len(text)}")
+    bad = _NOT_XY.search(text)
+    if bad:
+        raise ValueError(f"rule tables use only X and Y: {bad.group()!r} at position {bad.start()}")
+    # an empty line fits only n < 1, which the rule's own voter check refuses
+    return int(text[::-1].translate(_XY_TO_DIGITS) or "0", 2)
 
 
 @dataclass(frozen=True)
@@ -112,22 +136,11 @@ class TableRule:
         return Alternative.Y if (self.bits >> profile.index) & 1 else Alternative.X
 
     def to_line(self) -> str:
-        return "".join(
-            "Y" if (self.bits >> p) & 1 else "X" for p in range(3**self.n)
-        )
+        return _table_line(self.bits, 3**self.n)
 
     @classmethod
     def from_line(cls, n: int, line: str) -> "TableRule":
-        text = line.strip()
-        if len(text) != 3**n:
-            raise ValueError(f"full rule table for n={n} needs {3 ** n} characters, got {len(text)}")
-        bits = 0
-        for p, c in enumerate(text):
-            if c == "Y":
-                bits |= 1 << p
-            elif c != "X":
-                raise ValueError(f"rule tables use only X and Y: {c!r} at position {p}")
-        return cls(n, bits)
+        return cls(n, _line_bits(line, 3**n, f"full rule table for n={n}"))
 
     @classmethod
     def from_rule(cls, rule, n: int) -> "TableRule":
@@ -169,24 +182,12 @@ class AnonymousTableRule:
         return TableRule.from_rule(self, self.n)
 
     def to_line(self) -> str:
-        return "".join(
-            "Y" if (self.bits >> k) & 1 else "X"
-            for k in range(num_tally_classes(self.n))
-        )
+        return _table_line(self.bits, num_tally_classes(self.n))
 
     @classmethod
     def from_line(cls, n: int, line: str) -> "AnonymousTableRule":
-        text = line.strip()
-        want = num_tally_classes(n)
-        if len(text) != want:
-            raise ValueError(f"anonymous rule table for n={n} needs {want} characters, got {len(text)}")
-        bits = 0
-        for k, c in enumerate(text):
-            if c == "Y":
-                bits |= 1 << k
-            elif c != "X":
-                raise ValueError(f"rule tables use only X and Y: {c!r} at position {k}")
-        return cls(n, bits)
+        table = f"anonymous rule table for n={n}"
+        return cls(n, _line_bits(line, num_tally_classes(n), table))
 
     @classmethod
     def from_rule(cls, rule, n: int) -> "AnonymousTableRule":

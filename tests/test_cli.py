@@ -140,6 +140,30 @@ def test_check_rejects_malformed_rule_files(tmp_path):
     assert run_cli("check", "--rule", "builtin:qm:two:X", "--n", "3", "--q", "2").returncode == 2
 
 
+NOT_UTF8_BALLOTS = b"voter,choice\nv1,X\nv2,\xff\n"
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["decide", "--ballots", "{path}", "--q", "2", "--reform", "X"], NOT_UTF8_BALLOTS),
+        (["tally", "--ballots", "{path}"], NOT_UTF8_BALLOTS),
+        (
+            ["check", "--rule", "{path}", "--n", "2", "--q", "2"],
+            b"\xff\xfe" + "XYYYYYYYY".encode("utf-16-le"),
+        ),
+    ],
+    ids=["decide", "tally", "check"],
+)
+def test_non_utf8_input_files_are_bad_input(tmp_path, command, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    proc = run_cli(*(arg.format(path=path) for arg in command))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "not UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_unqualified_builtin_is_a_precondition_error():
     proc = run_cli("check", "--rule", "builtin:qm:1:X", "--n", "3", "--q", "1")
     assert proc.returncode == 3

@@ -165,6 +165,37 @@ def test_table_line_validation():
         AnonymousTableRule.from_line(2, "XXXXXXX")
 
 
+def test_table_lines_round_trip_at_n10():
+    line = ("XYYXXXYXYY" * 3**10)[: 3**10]
+    rule = TableRule.from_line(10, line + "\n")
+    assert rule.to_line() == line
+    assert all((rule.bits >> p) & 1 == (line[p] == "Y") for p in range(0, 3**10, 97))
+    assert rule.bits >> (3**10 - 1) == (line[-1] == "Y")
+    anonymous = AnonymousTableRule.from_line(10, line[:66])
+    assert anonymous.to_line() == line[:66]
+    assert anonymous.bits & 0b111 == 0b110
+
+
+def test_table_line_error_messages_name_the_first_bad_character():
+    with pytest.raises(ValueError, match=r"^full rule table for n=2 needs 9 characters, got 2$"):
+        TableRule.from_line(2, "XY")
+    with pytest.raises(ValueError, match=r"^anonymous rule table for n=2 needs 6 characters, got 7$"):
+        AnonymousTableRule.from_line(2, "XXXXXXX")
+    # positions count from the first character after leading whitespace
+    for line, bad, position in (
+        ("XYZXYZXYZ", "Z", 2),
+        ("  XYXXXXXXq\n", "q", 8),
+        ("XY_XXXXXX", "_", 2),
+        ("XX1XXXXXX", "1", 2),
+        ("X\u0661XXXXXXX", "\u0661", 1),
+    ):
+        message = f"^rule tables use only X and Y: {bad!r} at position {position}$"
+        with pytest.raises(ValueError, match=message):
+            TableRule.from_line(2, line)
+    with pytest.raises(ValueError, match=r"^rule tables use only X and Y: 'x' at position 5$"):
+        AnonymousTableRule.from_line(2, "XYXXXx")
+
+
 def test_threshold_rule_expresses_the_court_rule_of_four():
     hears = threshold_table_rule(9, 4, X)
     assert hears.evaluate(Profile.from_counts(4, 5, 0)) is X

@@ -1,7 +1,9 @@
 import itertools
 import os
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from qmvote.core import (
     Alternative,
@@ -17,10 +19,17 @@ from qmvote.rules import (
     AnonymousTableRule,
     QualifiedMajorityRule,
     TableRule,
+    num_tally_classes,
     rules_equal,
     threshold_table_rule,
 )
-from qmvote.axioms import run_all_checks
+from qmvote import _twosat
+from qmvote.axioms import (
+    check_anonymity,
+    check_q_neutrality,
+    check_responsiveness,
+    run_all_checks,
+)
 from qmvote.verifier import (
     SPACE_ANONYMOUS,
     SPACE_FULL,
@@ -407,12 +416,109 @@ def test_engines_agree_on_the_full_space_n2():
 
 
 def test_engines_agree_on_the_anonymous_spaces_n2_to_n5():
+    # a subset's oracle is the intersection of one-axiom sweeps, which is
+    # the combined sweep by definition; responsiveness does not depend on
+    # q, so it is swept once per n
     for n in range(2, 6):
+        responsive = _sweep_survivors(SPACE_ANONYMOUS, n, 0, workers=2, want_neutrality=False)
         for q in range(n + 1):
+            neutral = _sweep_survivors(
+                SPACE_ANONYMOUS, n, q, workers=2, want_responsiveness=False
+            )
+            oracle = {
+                (True, True): sorted(set(responsive).intersection(neutral)),
+                (True, False): responsive,
+                (False, True): neutral,
+                (False, False): list(range(2 ** num_tally_classes(n))),
+            }
             for axioms in ANONYMOUS_SUBSETS:
-                checks = sweep_checks(axioms)
-                sweep = _sweep_survivors(SPACE_ANONYMOUS, n, q, workers=2, **checks)
-                assert survivors_anonymous(n, q, **axioms) == sweep, (n, q, axioms)
+                want = oracle[axioms["use_responsiveness"], axioms["use_neutrality"]]
+                assert survivors_anonymous(n, q, **axioms) == want, (n, q, axioms)
+
+
+# --- the SAT engine against the profile-level checkers ----------------------
+
+
+def assert_survivors_pass_the_checkers(n, rules, survivors, subsets):
+    """``survivors(n, q, **axioms)`` lists exactly the rules that pass the
+    selected checkers of ``run_all_checks``, for every q and subset."""
+    everything = {rule.bits for rule in rules}
+    anonymous = {rule.bits for rule in rules if check_anonymity(rule, n).passed}
+    responsive = {rule.bits for rule in rules if check_responsiveness(rule, n).passed}
+    for q in range(n + 1):
+        neutral = {rule.bits for rule in rules if check_q_neutrality(rule, n, q).passed}
+        passing = {
+            "use_anonymity": anonymous,
+            "use_responsiveness": responsive,
+            "use_neutrality": neutral,
+        }
+        for axioms in subsets:
+            want = everything.intersection(*(passing[use] for use, on in axioms.items() if on))
+            assert survivors(n, q, **axioms) == sorted(want), (n, q, axioms)
+
+
+def test_survivors_match_the_profile_level_checkers():
+    # every rule is decoded and checked profile by profile, so this oracle
+    # reads no index table; anonymity and responsiveness do not depend on q
+    full = [TableRule(2, bits) for bits in range(2**9)]
+    assert_survivors_pass_the_checkers(2, full, survivors_full, AXIOM_SUBSETS)
+    for n in (2, 3):
+        tables = [AnonymousTableRule(n, bits) for bits in range(2 ** num_tally_classes(n))]
+        assert_survivors_pass_the_checkers(n, tables, survivors_anonymous, ANONYMOUS_SUBSETS)
+
+
+# --- the search against brute force on random 2-CNFs ------------------------
+
+
+@st.composite
+def two_cnfs(draw):
+    """(bits, clauses): each clause a pair of literals ``2*bit + value``,
+    self-clauses ``x or x`` included."""
+    nbits = draw(st.integers(1, 8))
+    literal = st.integers(0, 2 * nbits - 1)
+    clause = st.one_of(st.tuples(literal, literal), literal.map(lambda a: (a, a)))
+    return nbits, draw(st.lists(clause, max_size=16))
+
+
+def implication_graph(nbits, clauses):
+    """Each clause ``a or b`` as the edges ``not a => b`` and ``not b => a``."""
+    implied = [[] for _ in range(2 * nbits)]
+    for a, b in clauses:
+        implied[a ^ 1].append(b)
+        implied[b ^ 1].append(a)
+    return implied
+
+
+def brute_force_solutions(nbits, clauses):
+    def holds(encoding, literal):
+        return (encoding >> (literal >> 1)) & 1 == literal & 1
+
+    return [
+        encoding
+        for encoding in range(1 << nbits)
+        if all(holds(encoding, a) or holds(encoding, b) for a, b in clauses)
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(two_cnfs())
+def test_twosat_solutions_match_brute_force(formula):
+    nbits, clauses = formula
+    want = brute_force_solutions(nbits, clauses)
+    assert _twosat.solutions(implication_graph(nbits, clauses), 1 << nbits) == want
+
+
+def test_twosat_dead_end_after_several_decisions():
+    # the descent decides bit 3 = 0 and then bit 2 = 0, which the clause
+    # on bits 2 and 3 allows; bit 1 then conflicts both ways, since each
+    # value forces bit 0 to be both 0 and 1
+    clauses = [(2, 0), (2, 1), (3, 0), (3, 1), (4, 6)]
+    assert brute_force_solutions(4, clauses) == []
+    assert _twosat.solutions(implication_graph(4, clauses), 16) == []
+    # without the first clause bit 1 = 1 and bit 0 = 1, and bits 2 and 3
+    # are not both 1
+    solutions = _twosat.solutions(implication_graph(4, clauses[1:]), 16)
+    assert solutions == brute_force_solutions(4, clauses[1:]) == [0b0011, 0b0111, 0b1011]
 
 
 def quota_rule_encodings(cell_counts, q):
