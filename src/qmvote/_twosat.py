@@ -3,9 +3,13 @@
 Every axiom instance is a binary clause over cell bits (bit k is the
 winner at cell k, 0 = X, 1 = Y), so the rules passing the axioms are
 exactly the solutions of a 2-CNF. A literal ``2*k + v`` stands for
-"bit k equals v"; its negation is ``literal ^ 1``. The formula is held as
-an implication graph, each clause ``a or b`` as the two edges
-``not a => b`` and ``not b => a``.
+"bit k equals v"; its negation is ``literal ^ 1``. The responsiveness and
+anonymity clauses do not depend on the quota, so they are held as one
+implication graph per space and n, each clause ``a or b`` as the two
+edges ``not a => b`` and ``not b => a``, and every quota's search shares
+it. q-neutrality stores no edges: each literal has exactly one
+neutrality edge, which the search looks up from the dual and support
+columns and the quota as it propagates.
 
 Solutions are enumerated by branching on the highest free bit, 0 before
 1, and propagating its implications, so they come out in ascending
@@ -17,12 +21,12 @@ unsatisfiable, and the delay between two solutions is polynomial.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
 
-def implications(
-    cells, in_rq, *, neutrality: bool, responsiveness: bool, anonymity: bool
-) -> list[list[int]]:
-    """The implication graph of the selected axioms over ``cells``: the
-    literals each literal forces, contrapositives included."""
+
+def implications(cells, *, responsiveness: bool, anonymity: bool) -> list[list[int]]:
+    """The quota-independent implication graph of the selected axioms over
+    ``cells``: the literals each literal forces, contrapositives included."""
     implied: list[list[int]] = [[] for _ in range(2 * cells.ncells)]
 
     def imply(a: int, b: int) -> None:
@@ -30,11 +34,6 @@ def implications(
         implied[b ^ 1].append(a ^ 1)
 
     for k in range(cells.ncells):
-        if neutrality and k <= cells.dual_idx[k]:
-            # bit k = v  =>  bit (dual k) = v xor in_rq[k]
-            d, flip = cells.dual_idx[k], in_rq[k]
-            imply(2 * k, 2 * d + flip)
-            imply(2 * k + 1, 2 * d + 1 - flip)
         if responsiveness:
             # bit k = 0 => bit t = 0 for each X-ward t; the contrapositive
             # bit t = 1 => bit k = 1 is the Y-ward move from t back to k,
@@ -50,9 +49,22 @@ def implications(
     return implied
 
 
-def solutions(implied: list[list[int]], limit: int) -> list[int]:
+def solutions(
+    implied: list[list[int]],
+    limit: int,
+    *,
+    dual: Optional[Sequence[int]] = None,
+    support: Sequence[int] = (),
+    q: int = 0,
+) -> list[int]:
     """Encodings of the formula's solutions, ascending, stopping once
-    ``limit`` have been found; empty when it is unsatisfiable."""
+    ``limit`` have been found; empty when it is unsatisfiable.
+
+    The formula is ``implied``, plus, when ``dual`` is given, q-neutrality:
+    bit k = v forces bit ``dual[k]`` = v xor (``support[k]`` >= q). ``dual``
+    must be an involution and ``support`` constant on its pairs; then the
+    edge out of the dual cell is the contrapositive, so this one lookup
+    covers both directions of each clause. ``implied`` is only read."""
     nbits = len(implied) // 2
     value = [-1] * nbits
     trail: list[int] = []
@@ -70,6 +82,8 @@ def solutions(implied: list[list[int]], limit: int) -> list[int]:
             value[bit] = v
             trail.append(bit)
             todo.extend(implied[literal])
+            if dual is not None:
+                todo.append(2 * dual[bit] + (v ^ (support[bit] >= q)))
         return True
 
     def undo(mark: int) -> None:
@@ -109,14 +123,3 @@ def solutions(implied: list[list[int]], limit: int) -> list[int]:
         else:
             break
     return found
-
-
-def solve(
-    cells, in_rq, *, neutrality: bool, responsiveness: bool, anonymity: bool, limit: int
-) -> list[int]:
-    """Encodings of the rules over ``cells`` passing the selected axioms,
-    ascending; at most ``limit`` of them."""
-    implied = implications(
-        cells, in_rq, neutrality=neutrality, responsiveness=responsiveness, anonymity=anonymity
-    )
-    return solutions(implied, limit)

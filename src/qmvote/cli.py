@@ -237,7 +237,7 @@ def _run_enumerations(n, quotas, space, long_run):
     "--long-run",
     "long_run",
     is_flag=True,
-    help="Raise the cell cap from 2,500 to the 14,000-cell long-run bound.",
+    help="Raise the cell cap from 10,000 to the 14,000-cell long-run bound.",
 )
 def verify(n, quota, all_q, space, no_timing, long_run) -> None:
     """Enumerate a rule space and compare survivors against the quota rules."""
@@ -269,7 +269,7 @@ def verify(n, quota, all_q, space, no_timing, long_run) -> None:
     "--long-run",
     "long_run",
     is_flag=True,
-    help="Raise the cell cap from 2,500 to the 14,000-cell long-run bound.",
+    help="Raise the cell cap from 10,000 to the 14,000-cell long-run bound.",
 )
 def enumerate_cmd(n, quota, space, no_timing, long_run) -> None:
     """Like verify for one quota, but include each survivor's full table."""

@@ -10,7 +10,10 @@ is no survivors when 2q <= n and exactly the two quota-q rules when
 The search reads each axiom instance as a binary clause over cell bits
 and lists the solutions of that 2-CNF (``_twosat``); it never visits the
 rules that fail, so its cost follows the cell count, and
-``rules_examined`` still reports the 2^cells rules the space holds. It
+``rules_examined`` still reports the 2^cells rules the space holds. The
+responsiveness and anonymity clauses do not depend on the quota: their
+implication graph is built once per space, n and axiom subset
+(``_base_graph``), and each quota adds only the q-neutrality lookup. It
 is guarded by a cell cap and a survivor cap.
 
 The index tables behind both spaces are built arithmetically, with no
@@ -28,8 +31,8 @@ across at most one thread per CPU (numpy releases the interpreter lock
 inside its array operations, so the threads overlap). ``workers`` sets
 that split and nothing else. The sweep has its own n caps, and it also
 serves a library call whose survivors pass the SAT survivor cap while
-the sweep's caps admit the size. numpy is imported only when the sweep
-runs.
+the sweep's caps admit the size. numpy and the thread pool are imported
+only when the sweep runs.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import math
 import os
 import time
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -69,13 +71,14 @@ from .rules import (
 SPACE_FULL = "full"
 SPACE_ANONYMOUS = "anonymous"
 
-# SAT engine guards, in cells (3^n full, (n+1)(n+2)/2 anonymous). Below
-# the plain cap, verify --all-q takes at most about 1.7 s on 2 vCPUs (full
-# n=7, 2187 cells: 1.2 s; anonymous n=69, 2485 cells: 1.7 s). The long-run
-# cap keeps 2^cells within Python's default 4300-digit int-to-str limit,
-# which the JSON report needs; at its largest sizes verify --all-q peaks
-# at 39 MB RSS (full n=8, 4 s) and 31 MB (anonymous n=165, 28 s).
-_SAT_MAX_CELLS, _SAT_LONG_MAX_CELLS = 2500, 14000
+# SAT engine guards, in cells (3^n full, (n+1)(n+2)/2 anonymous). The plain
+# cap holds verify --all-q, start-up included, to a 5 s budget on 2 vCPUs
+# (Intel Xeon, Python 3.11.7): full n=8 (6,561 cells) took 0.6-0.8 s,
+# anonymous n=128 (8,385) 2.4-3.5 s and n=139 (9,870) 3.6-4.2 s, while
+# anonymous n=160 (13,041) took 5.4-6.1 s. The long-run cap keeps 2^cells
+# within Python's default 4300-digit int-to-str limit, which the JSON
+# report needs; anonymous n=165 (13,861) took 5.8-6.6 s and 31 MB.
+_SAT_MAX_CELLS, _SAT_LONG_MAX_CELLS = 10000, 14000
 # the SAT engine lists every survivor; refuse before that list grows large
 _SAT_MAX_SURVIVORS = 1 << 16
 # sweep guards, in voters: the plain cap and the ceiling with the long-run flag
@@ -91,6 +94,7 @@ class _Cells(NamedTuple):
     ncells: int
     nx: Sequence[int]
     ny: Sequence[int]
+    support: Sequence[int]  # max(nx, ny): the cell lies in R_q iff support >= q
     dual_idx: Sequence[int]
     resp_x_indptr: Sequence[int]
     resp_x_targets: Sequence[int]
@@ -158,6 +162,7 @@ def _profile_cells(n: int) -> _Cells:
     profile-level operations in ``core``."""
     nx = array("i", _digit_sums(n, lambda i, d: int(d == 0)))
     ny = array("i", _digit_sums(n, lambda i, d: int(d == 1)))
+    support = array("i", map(max, nx, ny))
     dual_idx = array("i", _digit_sums(n, lambda i, d: _DUAL_DIGIT[d] * 3**i))
     xi, xt = _moves(n, _TOWARD_X)
     yi, yt = _moves(n, _TOWARD_Y)
@@ -165,7 +170,7 @@ def _profile_cells(n: int) -> _Cells:
         array("i", _digit_sums(n, lambda i, d, j=j: d * _swap_weight(j, i)))
         for j in range(n - 1)
     ]
-    return _Cells(3**n, nx, ny, dual_idx, xi, xt, yi, yt, trans)
+    return _Cells(3**n, nx, ny, support, dual_idx, xi, xt, yi, yt, trans)
 
 
 @lru_cache(maxsize=4)
@@ -181,6 +186,7 @@ def _tally_cells(n: int) -> _Cells:
     index = {c: k for k, c in enumerate(classes)}
     nx = [c[0] for c in classes]
     ny = [c[1] for c in classes]
+    support = [max(c) for c in classes]
     dual_idx = [index[(c[1], c[0])] for c in classes]
     resp_x: list[list[int]] = []
     resp_y: list[list[int]] = []
@@ -201,7 +207,7 @@ def _tally_cells(n: int) -> _Cells:
         resp_y.append(toward_y)
     xi, xt = _csr(resp_x)
     yi, yt = _csr(resp_y)
-    return _Cells(len(classes), nx, ny, dual_idx, xi, xt, yi, yt, [])
+    return _Cells(len(classes), nx, ny, support, dual_idx, xi, xt, yi, yt, [])
 
 
 # Output columns: one byte per cell, the winner there (0 = X, 1 = Y).
@@ -280,8 +286,8 @@ def _first_responsiveness_violation(cells: _Cells, out: bytes) -> _Violation:
 def _first_neutrality_violation(cells: _Cells, out: bytes, q: int) -> _Violation:
     """The first profile whose dual breaks q-neutrality: the winner must
     swap under reversal exactly inside R_q."""
-    for p, (d, x, y) in enumerate(zip(cells.dual_idx, cells.nx, cells.ny)):
-        required = out[p] ^ (max(x, y) >= q)
+    for p, (d, s) in enumerate(zip(cells.dual_idx, cells.support)):
+        required = out[p] ^ (s >= q)
         if out[d] != required:
             return p, d, required
     return None
@@ -384,8 +390,13 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(total, lo + chunk)) for lo in range(0, total, chunk)]
 
 
-def _sweep(cells: _Cells, in_rq: list[int], workers: int, **checks: bool) -> list[int]:
-    from . import _kernels  # numpy is loaded only when the oracle runs
+def _sweep(cells: _Cells, q: int, workers: int, **checks: bool) -> list[int]:
+    # numpy and the thread pool are loaded only when the oracle runs
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import _kernels
+
+    in_rq = [int(s >= q) for s in cells.support]
 
     def run(span: tuple[int, int]):
         return _kernels.scan_rules(
@@ -410,12 +421,24 @@ def _sweep(cells: _Cells, in_rq: list[int], workers: int, **checks: bool) -> lis
     return sorted(int(v) for part in parts for v in part)
 
 
-def _cells_and_region(space: str, n: int, q: int) -> tuple[_Cells, list[int]]:
-    """The space's index tables and, per cell, 1 iff it lies in R_q."""
+def _space_cells(space: str, n: int) -> _Cells:
+    return _profile_cells(n) if space == SPACE_FULL else _tally_cells(n)
+
+
+def _checked_cells(space: str, n: int, q: int) -> _Cells:
+    """The space's index tables, once the quota is known to be in range."""
     if not 0 <= q <= n:
         raise ValueError(f"quota must lie in 0..{n}, got {q}")
-    cells = _profile_cells(n) if space == SPACE_FULL else _tally_cells(n)
-    return cells, [int(max(x, y) >= q) for x, y in zip(cells.nx, cells.ny)]
+    return _space_cells(space, n)
+
+
+@lru_cache(maxsize=4)
+def _base_graph(space: str, n: int, responsiveness: bool, anonymity: bool) -> list[list[int]]:
+    """The quota-independent implication graph: built once per space, n
+    and axiom subset, and read, never modified, by every quota's search."""
+    return _twosat.implications(
+        _space_cells(space, n), responsiveness=responsiveness, anonymity=anonymity
+    )
 
 
 def _scan_space(
@@ -429,14 +452,13 @@ def _scan_space(
     want_anonymity: bool,
 ) -> tuple[int, list[int]]:
     """(2^cells, ascending encodings of the rules passing the selected axioms)."""
-    cells, in_rq = _cells_and_region(space, n, q)
-    survivors = _twosat.solve(
-        cells,
-        in_rq,
-        neutrality=want_neutrality,
-        responsiveness=want_responsiveness,
-        anonymity=want_anonymity,
-        limit=_SAT_MAX_SURVIVORS + 1,
+    cells = _checked_cells(space, n, q)
+    survivors = _twosat.solutions(
+        _base_graph(space, n, want_responsiveness, want_anonymity),
+        _SAT_MAX_SURVIVORS + 1,
+        dual=cells.dual_idx if want_neutrality else None,
+        support=cells.support,
+        q=q,
     )
     if len(survivors) > _SAT_MAX_SURVIVORS:
         # only a call that drops axioms gets here; the sweep lists any
@@ -450,7 +472,7 @@ def _scan_space(
             ) from None
         survivors = _sweep(
             cells,
-            in_rq,
+            q,
             os.cpu_count() or 1,
             want_neutrality=want_neutrality,
             want_responsiveness=want_responsiveness,
@@ -474,9 +496,9 @@ def _sweep_survivors(
     default, except anonymity in the anonymous space, where it always
     holds."""
     _guard_sweep(space, n, allow_long_run)
-    cells, in_rq = _cells_and_region(space, n, q)
+    cells = _checked_cells(space, n, q)
     checks = {"want_anonymity": space == SPACE_FULL, **checks}
-    return _sweep(cells, in_rq, workers, **checks)
+    return _sweep(cells, q, workers, **checks)
 
 
 def survivors_full(
@@ -569,7 +591,7 @@ def decode_rule(space: str, n: int, encoding: int):
 def _expected_named(space: str, n: int, q: int) -> dict[int, str]:
     """Canonical encodings of the quota-q qualified majority rules, read off
     the cells' tally columns."""
-    cells = _profile_cells(n) if space == SPACE_FULL else _tally_cells(n)
+    cells = _space_cells(space, n)
     return {
         _column_bits(_quota_column(cells, rule.q, rule.reform)): rule.pretty()
         for rule in qualified_majority_rules(n, q)
@@ -583,8 +605,11 @@ def _build_result(
     as a function), so the theorem holds iff the survivor encodings are
     exactly those of the quota-q rules."""
     names = _expected_named(space, n, q)
+    # the decimal label of a large encoding is costly, so only an unnamed
+    # survivor gets one
     infos = tuple(
-        SurvivorInfo(enc, names.get(enc, f"table@{enc}")) for enc in survivors
+        SurvivorInfo(enc, names[enc] if enc in names else f"table@{enc}")
+        for enc in survivors
     )
     return VerificationResult(
         n=n,

@@ -302,5 +302,5 @@ def test_cli_golden_files(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "verify_n5_anonymous.json").read_text()
 
-    proc = run_cli("verify", "--n", "8", "--q", "5", "--space", "full")
+    proc = run_cli("verify", "--n", "9", "--q", "5", "--space", "full")
     assert proc.returncode == 3

@@ -197,8 +197,8 @@ def test_verify_single_quota():
 
 
 def test_verify_guard_violation_exits_3():
-    # full n=8 has 6561 cells, past the 2500-cell cap of the default engine
-    proc = run_cli("verify", "--n", "8", "--q", "5", "--space", "full")
+    # full n=9 has 19,683 cells, past the 10,000-cell cap of the default engine
+    proc = run_cli("verify", "--n", "9", "--q", "5", "--space", "full")
     assert proc.returncode == 3
     assert "anonymous" in proc.stderr
 
@@ -237,18 +237,22 @@ def test_enumerate_includes_tables():
 
 
 def test_enumerate_guard_violation():
-    # anonymous n=70 has 2556 cells, past the 2500-cell cap
-    proc = run_cli("enumerate", "--n", "70", "--q", "36", "--space", "anonymous")
+    # anonymous n=140 has 10,011 cells, past the 10,000-cell cap
+    proc = run_cli("enumerate", "--n", "140", "--q", "71", "--space", "anonymous")
     assert proc.returncode == 3
     assert "--long-run" in proc.stderr
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the library's sweep oracle, so no CLI call pays its import
-    code = "import sys, qmvote.cli; print('numpy' in sys.modules)"
+    # numpy and the thread pool serve only the library's sweep oracle, so no
+    # CLI call pays their import
+    code = (
+        "import sys, qmvote.cli; "
+        "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_help_lists_all_subcommands():

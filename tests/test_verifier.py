@@ -35,6 +35,7 @@ from qmvote.verifier import (
     SPACE_FULL,
     GuardError,
     _Cells,
+    _base_graph,
     _csr,
     _profile_cells,
     _ranges,
@@ -148,13 +149,14 @@ def reference_profile_cells(n):
     profiles = all_profiles(n)
     nx = [tally(p).n_x for p in profiles]
     ny = [tally(p).n_y for p in profiles]
+    support = [max(tally(p).n_x, tally(p).n_y) for p in profiles]
     dual_idx = [dual(p).index for p in profiles]
     resp_x = [[r.index for r in responsive_neighbors(p, X)] for p in profiles]
     resp_y = [[r.index for r in responsive_neighbors(p, Y)] for p in profiles]
     xi, xt = _csr(resp_x)
     yi, yt = _csr(resp_y)
     trans = [[permute(p, t).index for p in profiles] for t in adjacent_transpositions(n)]
-    return _Cells(len(profiles), nx, ny, dual_idx, xi, xt, yi, yt, trans)
+    return _Cells(len(profiles), nx, ny, support, dual_idx, xi, xt, yi, yt, trans)
 
 
 def test_arithmetic_profile_tables_match_the_profile_level_reference():
@@ -186,17 +188,17 @@ def test_anonymous_space_guards():
 
 
 def test_sat_cell_cap():
-    # full n=8 has 6561 cells and anonymous n=70 has 2556, both past 2500
+    # full n=9 has 19,683 cells and anonymous n=140 has 10,011, both past 10,000
     with pytest.raises(GuardError, match="anonymous space"):
-        enumerate_full(8, 5)
+        enumerate_full(9, 5)
     with pytest.raises(GuardError, match="long-run"):
-        enumerate_anonymous(70, 36)
+        enumerate_anonymous(140, 71)
     with pytest.raises(GuardError):
         enumerate_full(1, 0)
 
 
 def test_sat_long_run_lifts_the_cell_cap_to_its_own_bound():
-    result = enumerate_anonymous(70, 36, allow_long_run=True)
+    result = enumerate_anonymous(140, 71, allow_long_run=True)
     assert result.matches_theorem and len(result.survivors) == 2
     # anonymous n=167 has 14,196 cells, past the 14,000-cell long-run bound
     with pytest.raises(GuardError, match="long-run limit"):
@@ -480,6 +482,35 @@ def two_cnfs(draw):
     return nbits, draw(st.lists(clause, max_size=16))
 
 
+@st.composite
+def neutralities(draw, nbits):
+    """(dual, support, q) for the search's q-neutrality lookup: a random
+    involution with fixed points, a support column constant on its pairs,
+    and a quota; or None for no neutrality."""
+    if draw(st.booleans()):
+        return None
+    order = draw(st.permutations(range(nbits)))
+    pairs = draw(st.integers(0, nbits // 2))
+    dual = list(range(nbits))
+    support = [0] * nbits
+    for i in range(nbits - pairs):
+        k = order[i]
+        d = order[nbits - 1 - i] if i < pairs else k
+        dual[k], dual[d] = d, k
+        support[k] = support[d] = draw(st.integers(0, 3))
+    return dual, support, draw(st.integers(0, 4))
+
+
+def neutrality_clauses(dual, support, q):
+    """Bit k = v forces bit (dual k) = v xor (support[k] >= q), as the
+    clauses ``not (bit k = v) or (bit (dual k) = v xor r)``."""
+    return [
+        (2 * k + 1 - v, 2 * dual[k] + (v ^ (support[k] >= q)))
+        for k in range(len(dual))
+        for v in (0, 1)
+    ]
+
+
 def implication_graph(nbits, clauses):
     """Each clause ``a or b`` as the edges ``not a => b`` and ``not b => a``."""
     implied = [[] for _ in range(2 * nbits)]
@@ -501,11 +532,18 @@ def brute_force_solutions(nbits, clauses):
 
 
 @settings(max_examples=400, deadline=None)
-@given(two_cnfs())
-def test_twosat_solutions_match_brute_force(formula):
-    nbits, clauses = formula
-    want = brute_force_solutions(nbits, clauses)
-    assert _twosat.solutions(implication_graph(nbits, clauses), 1 << nbits) == want
+@given(st.data())
+def test_twosat_solutions_match_brute_force(data):
+    nbits, clauses = data.draw(two_cnfs())
+    neutrality = data.draw(neutralities(nbits))
+    graph = implication_graph(nbits, clauses)
+    if neutrality is None:
+        found = _twosat.solutions(graph, 1 << nbits)
+    else:
+        dual, support, q = neutrality
+        found = _twosat.solutions(graph, 1 << nbits, dual=dual, support=support, q=q)
+        clauses = clauses + neutrality_clauses(dual, support, q)
+    assert found == brute_force_solutions(nbits, clauses)
 
 
 def test_twosat_dead_end_after_several_decisions():
@@ -555,6 +593,30 @@ def test_sat_theorem_anonymous_n6_to_n20():
             want = quota_rule_encodings(counts, q) if 2 * q > n else []
             assert survivors_anonymous(n, q) == want, (n, q)
             assert enumerate_anonymous(n, q).matches_theorem
+
+
+def test_sat_theorem_full_n8_under_the_plain_cap():
+    counts = full_cell_counts(8)
+    for q in range(9):
+        want = quota_rule_encodings(counts, q) if 2 * q > 8 else []
+        assert survivors_full(8, q) == want, q
+
+
+def test_all_q_builds_the_base_graph_once():
+    from click.testing import CliRunner
+
+    from qmvote.cli import main
+
+    _base_graph.cache_clear()
+    result = CliRunner().invoke(main, ["verify", "--n", "30", "--all-q", "--space", "anonymous"])
+    assert result.exit_code == 0, result.output
+    info = _base_graph.cache_info()
+    assert (info.misses, info.hits) == (1, 30)
+    # bounded: more spaces than slots evict the oldest graphs
+    for n in range(2, 8):
+        survivors_anonymous(n, n)
+    info = _base_graph.cache_info()
+    assert info.maxsize == 4 and info.currsize == 4
 
 
 def test_full_n3_long_run_theorem():
