@@ -66,6 +66,9 @@ def solutions(
     edge out of the dual cell is the contrapositive, so this one lookup
     covers both directions of each clause. ``implied`` is only read."""
     nbits = len(implied) // 2
+    # a bit that is its own dual inside R_q is forced to its own negation
+    if dual is not None and any(d == k and support[k] >= q for k, d in enumerate(dual)):
+        return []
     value = [-1] * nbits
     trail: list[int] = []
 

@@ -198,10 +198,10 @@ def check(rule_spec: str, n: int, quota: int, anonymous: bool) -> None:
     if n < 1:
         _die(EXIT_GUARD, "need at least one voter")
     if n > _CHECK_MAX_N:
+        count = f" = {3 ** n:,}" if n <= 40 else ""  # 3^n is slow to print for huge n
         _die(
             EXIT_GUARD,
-            f"check at n={n} would walk all 3^{n} = {3 ** n:,} profiles; "
-            f"the limit is n={_CHECK_MAX_N}",
+            f"check at n={n} would walk all 3^{n}{count} profiles; the limit is n={_CHECK_MAX_N}",
         )
     rule = _load_rule(rule_spec, n, anonymous)
     if not 0 <= quota <= n:
@@ -211,12 +211,12 @@ def check(rule_spec: str, n: int, quota: int, anonymous: bool) -> None:
     sys.exit(EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED)
 
 
-def _run_enumerations(n, quotas, space, long_run):
+def _run_enumerations(n, quotas, space):
     runner = enumerate_full if space == SPACE_FULL else enumerate_anonymous
     results = []
     for q in quotas:
         try:
-            results.append(runner(n, q, allow_long_run=long_run))
+            results.append(runner(n, q))
         except ValueError as exc:  # GuardError included
             _die(EXIT_GUARD, str(exc))
     return results
@@ -237,7 +237,8 @@ def _run_enumerations(n, quotas, space, long_run):
     "--long-run",
     "long_run",
     is_flag=True,
-    help="Raise the cell cap from 10,000 to the 14,000-cell long-run bound.",
+    help="No longer widens verify or enumerate, which share one 14,000-cell cap; "
+    "accepted so that older command lines still parse.",
 )
 def verify(n, quota, all_q, space, no_timing, long_run) -> None:
     """Enumerate a rule space and compare survivors against the quota rules."""
@@ -250,7 +251,7 @@ def verify(n, quota, all_q, space, no_timing, long_run) -> None:
     except GuardError as exc:
         _die(EXIT_GUARD, str(exc))
     quotas = range(n + 1) if all_q else [quota]
-    results = _run_enumerations(n, quotas, space, long_run)
+    results = _run_enumerations(n, quotas, space)
     _emit([r.to_json_dict(include_timing=not no_timing) for r in results])
     sys.exit(EXIT_OK if all(r.matches_theorem for r in results) else EXIT_FAILED)
 
@@ -269,11 +270,12 @@ def verify(n, quota, all_q, space, no_timing, long_run) -> None:
     "--long-run",
     "long_run",
     is_flag=True,
-    help="Raise the cell cap from 10,000 to the 14,000-cell long-run bound.",
+    help="No longer widens verify or enumerate, which share one 14,000-cell cap; "
+    "accepted so that older command lines still parse.",
 )
 def enumerate_cmd(n, quota, space, no_timing, long_run) -> None:
     """Like verify for one quota, but include each survivor's full table."""
-    result = _run_enumerations(n, [quota], space, long_run)[0]
+    result = _run_enumerations(n, [quota], space)[0]
     doc = result.to_json_dict(include_timing=not no_timing)
     for entry in doc["survivors"]:
         entry["table"] = decode_rule(space, n, entry["encoding"]).to_line()

@@ -4,7 +4,7 @@ A profile holds one weak ordering per voter over the pair of alternatives,
 so every voter is in exactly one of three states: strictly for X, strictly
 for Y, or indifferent. Everything in this module is a pure function on
 immutable values; profiles compare structurally and hash. Four results
-are memoized without bound and shared across threads: ``tally`` and
+are memoized in bounded caches shared across threads: ``tally`` and
 ``dual`` per profile, ``all_profiles`` and ``adjacent_transpositions``
 per voter count. ``permute`` and ``responsive_neighbors`` are recomputed
 on every call. These operations serve the profile-level checkers in
@@ -164,7 +164,14 @@ class Tally:
         return Tally(self.n_y, self.n_x, self.n_ind)
 
 
-@lru_cache(maxsize=None)
+# Per-profile caches hold every profile of n <= 9 (29,523): the test suite
+# asks for 20,966 distinct ones, and its largest walk, the rule of four's
+# q-neutrality at n=9, revisits all 19,683 profiles once per quota, so a
+# bound below 3^9 would miss on every call there.
+_PROFILE_CACHE = 1 << 15
+
+
+@lru_cache(maxsize=_PROFILE_CACHE)
 def tally(profile: Profile) -> Tally:
     """Count each preference state; components always sum to the voter count."""
     n_x = n_y = n_ind = 0
@@ -195,7 +202,7 @@ def permute(profile: Profile, perm: Sequence[int]) -> Profile:
     return Profile(tuple(profile.voters[j] for j in perm))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PROFILE_CACHE)
 def dual(profile: Profile) -> Profile:
     """Reverse every strict preference, leaving indifferent voters fixed.
 
@@ -248,7 +255,8 @@ def responsive_neighbors(profile: Profile, winner: Alternative) -> tuple[Profile
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# one entry holds 3^n profiles; the test suite walks seven voter counts
+@lru_cache(maxsize=8)
 def all_profiles(n: int) -> tuple[Profile, ...]:
     """Every profile on n voters, in canonical index order."""
     if n < 1:
@@ -256,7 +264,7 @@ def all_profiles(n: int) -> tuple[Profile, ...]:
     return tuple(Profile.from_index(n, i) for i in range(3**n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def adjacent_transpositions(n: int) -> tuple[tuple[int, ...], ...]:
     """The n-1 permutations swapping voters j and j+1.
 

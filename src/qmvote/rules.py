@@ -40,7 +40,9 @@ def num_tally_classes(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-@lru_cache(maxsize=None)
+# one entry per voter count; the anonymous index tables keep their own
+# copies (verifier._tally_cells), so few callers repeat an n
+@lru_cache(maxsize=8)
 def tally_classes(n: int) -> tuple[tuple[int, int], ...]:
     """All tally classes in lexicographic (n_x, n_y) order.
 

@@ -71,14 +71,15 @@ from .rules import (
 SPACE_FULL = "full"
 SPACE_ANONYMOUS = "anonymous"
 
-# SAT engine guards, in cells (3^n full, (n+1)(n+2)/2 anonymous). The plain
-# cap holds verify --all-q, start-up included, to a 5 s budget on 2 vCPUs
-# (Intel Xeon, Python 3.11.7): full n=8 (6,561 cells) took 0.6-0.8 s,
-# anonymous n=128 (8,385) 2.4-3.5 s and n=139 (9,870) 3.6-4.2 s, while
-# anonymous n=160 (13,041) took 5.4-6.1 s. The long-run cap keeps 2^cells
-# within Python's default 4300-digit int-to-str limit, which the JSON
-# report needs; anonymous n=165 (13,861) took 5.8-6.6 s and 31 MB.
-_SAT_MAX_CELLS, _SAT_LONG_MAX_CELLS = 10000, 14000
+# SAT engine guard, in cells (3^n full, (n+1)(n+2)/2 anonymous). It keeps
+# 2^cells within Python's default 4300-digit int-to-str limit, which the
+# JSON report needs. Against a 5 s budget for verify --all-q, start-up
+# included, on 2 vCPUs (Intel Xeon, Python 3.11.7), as fresh processes:
+# full n=8 (6,561 cells) 0.5-0.7 s, anonymous n=160 (13,041) 4.2-5.3 s and
+# n=165 (13,861, the largest admitted) 4.5-5.7 s while the host ran about
+# 2.4x slower than usual; on a quiet host a slower search had taken n=160
+# 2.0-2.1 s and n=165 2.3-2.4 s.
+_SAT_MAX_CELLS = 14000
 # the SAT engine lists every survivor; refuse before that list grows large
 _SAT_MAX_SURVIVORS = 1 << 16
 # sweep guards, in voters: the plain cap and the ceiling with the long-run flag
@@ -230,8 +231,8 @@ def _quota_column(cells: _Cells, q: int, reform: Alternative) -> bytes:
     """The output column of the quota-q rule with this reform: the reform
     wins where its strict supporters reach q."""
     if reform is Alternative.X:
-        return bytes(int(x < q) for x in cells.nx)
-    return bytes(int(y >= q) for y in cells.ny)
+        return bytes(map(q.__gt__, cells.nx))
+    return bytes(map(q.__le__, cells.ny))
 
 
 def _rule_column(rule, n: int, cells: _Cells) -> bytes:
@@ -334,23 +335,18 @@ def _guard_voters(n: int) -> None:
         raise GuardError("rule-space verification needs at least two voters")
 
 
-def _guard_sat(space: str, n: int, allow_long_run: bool) -> None:
+def _guard_sat(space: str, n: int) -> None:
     _guard_voters(n)
-    cells = _num_cells(space, n)
-    if cells <= _SAT_MAX_CELLS:
-        return
-    where = f"{space} space at n={n} has {cells:,} cells"
-    other = "; or use the anonymous space" if space == SPACE_FULL else ""
-    if cells <= _SAT_LONG_MAX_CELLS:
-        if allow_long_run:
+    where = f"{space} space at n={n}"
+    # past n=200 either space is far over the cap (anonymous: 20,301 cells),
+    # so the count, 3^n for the full space, is neither computed nor printed
+    if n <= 200:
+        cells = _num_cells(space, n)
+        if cells <= _SAT_MAX_CELLS:
             return
-        raise GuardError(
-            f"{where}, past the {_SAT_MAX_CELLS:,}-cell limit; pass allow_long_run=True "
-            f"(CLI: --long-run){other}"
-        )
-    raise GuardError(
-        f"{where}, past even the {_SAT_LONG_MAX_CELLS:,}-cell long-run limit{other}"
-    )
+        where += f" has {cells:,} cells,"
+    other = "; use the anonymous space" if space == SPACE_FULL else ""
+    raise GuardError(f"{where} past the {_SAT_MAX_CELLS:,}-cell limit{other}")
 
 
 def _guard_sweep(space: str, n: int, allow_long_run: bool) -> None:
@@ -511,7 +507,7 @@ def survivors_full(
     use_neutrality: bool = True,
 ) -> list[int]:
     """Encodings of the full-space rules passing the selected axioms."""
-    _guard_sat(SPACE_FULL, n, allow_long_run)
+    _guard_sat(SPACE_FULL, n)
     _, survivors = _scan_space(
         SPACE_FULL,
         n,
@@ -536,7 +532,7 @@ def survivors_anonymous(
 
     Anonymity itself holds for every rule of this space by construction.
     """
-    _guard_sat(SPACE_ANONYMOUS, n, allow_long_run)
+    _guard_sat(SPACE_ANONYMOUS, n)
     _, survivors = _scan_space(
         SPACE_ANONYMOUS,
         n,
@@ -623,8 +619,11 @@ def _build_result(
 
 
 def enumerate_full(n: int, q: int, *, allow_long_run: bool = False) -> VerificationResult:
-    """Decide all 2^(3^n) profile tables and intersect the three axiom sets."""
-    return _enumerate(SPACE_FULL, n, q, allow_long_run)
+    """Decide all 2^(3^n) profile tables and intersect the three axiom sets.
+
+    ``allow_long_run`` is accepted and ignored: one cell cap serves every call.
+    """
+    return _enumerate(SPACE_FULL, n, q)
 
 
 def enumerate_anonymous(
@@ -634,19 +633,19 @@ def enumerate_anonymous(
 
     Restricting to this space loses nothing: anonymity is one of the
     intersected axioms, and every anonymous rule has exactly one tally
-    table representative.
+    table representative. ``allow_long_run`` is accepted and ignored.
     """
-    return _enumerate(SPACE_ANONYMOUS, n, q, allow_long_run)
+    return _enumerate(SPACE_ANONYMOUS, n, q)
 
 
-def _enumerate(space: str, n: int, q: int, allow_long_run: bool) -> VerificationResult:
-    _guard_sat(space, n, allow_long_run)
+def _enumerate(space: str, n: int, q: int) -> VerificationResult:
+    _guard_sat(space, n)
     start = time.perf_counter()
     examined, survivors = _scan_space(
         space,
         n,
         q,
-        allow_long_run=allow_long_run,
+        allow_long_run=False,  # with every axiom at most two rules survive
         want_neutrality=True,
         want_responsiveness=True,
         want_anonymity=space == SPACE_FULL,
@@ -661,7 +660,7 @@ def verify_characterization(
     """True iff the enumeration at this single q matches the expected rule set."""
     if space not in (SPACE_FULL, SPACE_ANONYMOUS):
         raise ValueError(f"unknown space {space!r}")
-    return _enumerate(space, n, q, allow_long_run).matches_theorem
+    return _enumerate(space, n, q).matches_theorem
 
 
 def merge_profile(first: Profile, second: Profile, winner: Alternative) -> Profile:

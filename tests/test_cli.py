@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -197,10 +198,30 @@ def test_verify_single_quota():
 
 
 def test_verify_guard_violation_exits_3():
-    # full n=9 has 19,683 cells, past the 10,000-cell cap of the default engine
+    # full n=9 has 19,683 cells, past the 14,000-cell cap
     proc = run_cli("verify", "--n", "9", "--q", "5", "--space", "full")
     assert proc.returncode == 3
     assert "anonymous" in proc.stderr
+
+
+def test_verify_refuses_a_huge_n_at_once():
+    # 3^n is neither computed nor printed, so the message names the cap
+    # rather than Python's limit on printing long integers
+    for n in ("20000", "30000000"):
+        start = time.perf_counter()
+        proc = run_cli("verify", "--n", n, "--q", "1")
+        assert time.perf_counter() - start < 1.0, n
+        assert proc.returncode == 3, n
+        assert f"full space at n={n} past the 14,000-cell limit" in proc.stderr
+        assert "digits" not in proc.stderr
+
+
+def test_check_refuses_a_huge_n_without_printing_3_to_the_n():
+    proc = run_cli("check", "--rule", "builtin:qm:2:X", "--n", "20000", "--q", "1")
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "error: check at n=20000 would walk all 3^20000 profiles; the limit is n=12\n"
+    )
 
 
 def test_verify_all_q_needs_two_voters():
@@ -237,18 +258,20 @@ def test_enumerate_includes_tables():
 
 
 def test_enumerate_guard_violation():
-    # anonymous n=140 has 10,011 cells, past the 10,000-cell cap
-    proc = run_cli("enumerate", "--n", "140", "--q", "71", "--space", "anonymous")
-    assert proc.returncode == 3
-    assert "--long-run" in proc.stderr
+    # anonymous n=167 has 14,196 cells, past the 14,000-cell cap, which
+    # --long-run no longer lifts
+    for extra in ((), ("--long-run",)):
+        proc = run_cli("enumerate", "--n", "167", "--q", "84", "--space", "anonymous", *extra)
+        assert proc.returncode == 3
+        assert "has 14,196 cells, past the 14,000-cell limit" in proc.stderr
 
 
 def test_cli_import_leaves_numpy_unloaded():
     # numpy and the thread pool serve only the library's sweep oracle, so no
-    # CLI call pays their import
+    # CLI call pays their import, and no CLI call starts worker processes
     code = (
         "import sys, qmvote.cli; "
-        "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))"
+        "print(sorted({'numpy', 'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

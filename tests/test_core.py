@@ -237,3 +237,12 @@ def test_adjacent_transpositions():
     assert adjacent_transpositions(2) == ((1, 0),)
     assert adjacent_transpositions(4) == ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
     assert adjacent_transpositions(1) == ()
+
+
+def test_memoized_operations_have_bounded_caches():
+    from qmvote.rules import tally_classes
+
+    for cached in (tally, dual, all_profiles, adjacent_transpositions, tally_classes):
+        assert cached.cache_info().maxsize is not None, cached.__name__
+    # the per-profile caches hold all of n=9, the largest profile walk
+    assert tally.cache_info().maxsize >= 3**9

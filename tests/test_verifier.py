@@ -188,23 +188,37 @@ def test_anonymous_space_guards():
 
 
 def test_sat_cell_cap():
-    # full n=9 has 19,683 cells and anonymous n=140 has 10,011, both past 10,000
+    # full n=9 has 19,683 cells and anonymous n=167 has 14,196, both past 14,000
     with pytest.raises(GuardError, match="anonymous space"):
         enumerate_full(9, 5)
-    with pytest.raises(GuardError, match="long-run"):
-        enumerate_anonymous(140, 71)
+    with pytest.raises(GuardError, match="14,000-cell limit"):
+        enumerate_anonymous(167, 84)
     with pytest.raises(GuardError):
         enumerate_full(1, 0)
 
 
-def test_sat_long_run_lifts_the_cell_cap_to_its_own_bound():
-    result = enumerate_anonymous(140, 71, allow_long_run=True)
+def test_sat_cell_cap_admits_anonymous_n165():
+    # anonymous n=165 has 13,861 cells, the most under the cap
+    result = enumerate_anonymous(165, 83)
     assert result.matches_theorem and len(result.survivors) == 2
-    # anonymous n=167 has 14,196 cells, past the 14,000-cell long-run bound
-    with pytest.raises(GuardError, match="long-run limit"):
+    # the long-run flag no longer lifts the cap
+    with pytest.raises(GuardError, match="14,000-cell limit"):
         enumerate_anonymous(167, 84, allow_long_run=True)
-    with pytest.raises(GuardError, match="long-run limit"):
+    with pytest.raises(GuardError, match="14,000-cell limit"):
         enumerate_full(9, 5, allow_long_run=True)
+
+
+def test_sat_guard_refuses_a_huge_n_without_its_cell_count():
+    with pytest.raises(GuardError) as info:
+        enumerate_full(10**7, 1)
+    assert str(info.value) == (
+        "full space at n=10000000 past the 14,000-cell limit; use the anonymous space"
+    )
+    with pytest.raises(GuardError, match="past the 14,000-cell limit$"):
+        enumerate_anonymous(10**3000, 1)
+    # near the cap the count is spelled out
+    with pytest.raises(GuardError, match="has 3,486,784,401 cells"):
+        enumerate_full(20, 1)
 
 
 def test_sat_survivor_cap():
@@ -486,7 +500,9 @@ def two_cnfs(draw):
 def neutralities(draw, nbits):
     """(dual, support, q) for the search's q-neutrality lookup: a random
     involution with fixed points, a support column constant on its pairs,
-    and a quota; or None for no neutrality."""
+    and a quota; or None for no neutrality. Supports run 0..3 and quotas
+    0..4, so fixed points fall inside R_q (a formula the search refuses
+    before branching) and outside it."""
     if draw(st.booleans()):
         return None
     order = draw(st.permutations(range(nbits)))
@@ -557,6 +573,19 @@ def test_twosat_dead_end_after_several_decisions():
     # are not both 1
     solutions = _twosat.solutions(implication_graph(4, clauses[1:]), 16)
     assert solutions == brute_force_solutions(4, clauses[1:]) == [0b0011, 0b0111, 0b1011]
+
+
+def test_twosat_self_dual_bit_inside_the_quota_region_is_unsatisfiable():
+    # bit 0 is its own dual: with support 2 >= q it must equal its own
+    # negation, with support 2 < q it may be anything
+    empty = implication_graph(2, [])
+    dual, support = [0, 1], [2, 0]
+    for q in (0, 1, 2):
+        assert _twosat.solutions(empty, 4, dual=dual, support=support, q=q) == []
+    assert _twosat.solutions(empty, 4, dual=dual, support=support, q=3) == [0, 1, 2, 3]
+    # a second fixed point below q does not rescue the formula
+    assert _twosat.solutions(empty, 4, dual=dual, support=[2, 1], q=2) == []
+    assert brute_force_solutions(2, neutrality_clauses(dual, [2, 1], 2)) == []
 
 
 def quota_rule_encodings(cell_counts, q):
