@@ -4,29 +4,22 @@ All reports are single JSON documents on standard output; diagnostics go
 to standard error. Exit codes: 0 success / all checks pass, 1 an axiom or
 verification failed, 2 malformed input, 3 precondition or guard
 violation.
+
+Start-up is most of a call's wall time at small n, so this module
+imports only ``sys`` and click, and each subcommand imports the library
+modules it runs: ``--help`` loads none, ``decide`` and ``tally`` no
+``verifier``, and ``verify`` and ``enumerate`` no ``axioms``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
-from .core import Alternative, Preference, Profile, is_qualified, tally
-from .rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
-from .verifier import (
-    SPACE_ANONYMOUS,
-    SPACE_FULL,
-    GuardError,
-    _guard_voters,
-    decode_rule,
-    enumerate_anonymous,
-    enumerate_full,
-    run_table_checks,
-)
+if TYPE_CHECKING:
+    from .core import Profile
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -39,12 +32,13 @@ EXIT_GUARD = 3
 # n=12 4.4-5.8 s and 125 MB.
 _CHECK_MAX_N = 12
 
-_CHOICE_TO_PREF = {
-    "X": Preference.STRICT_X,
-    "Y": Preference.STRICT_Y,
-    "TIE": Preference.INDIFFERENT,
-}
-_PREF_TO_CHOICE = {p: c for c, p in _CHOICE_TO_PREF.items()}
+# Ballot choices, indexed by the value of their ``core.Preference``.
+_CHOICES = ("X", "Y", "TIE")
+
+# verifier.SPACE_FULL and SPACE_ANONYMOUS, restated so that parsing
+# --space does not import the verifier; a test pins them to the originals.
+SPACE_FULL = "full"
+SPACE_ANONYMOUS = "anonymous"
 
 
 class BallotError(ValueError):
@@ -57,6 +51,11 @@ def read_ballots_text(text: str) -> Profile:
     Choices are X, Y or TIE (case-insensitive); voter ids must be unique;
     at least two rows are required. Row order defines voter index order.
     """
+    import csv
+    import io
+
+    from .core import Preference, Profile
+
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows:
@@ -75,16 +74,16 @@ def read_ballots_text(text: str) -> Profile:
         if voter in seen:
             raise BallotError(f"line {lineno}: duplicate voter id {voter!r}")
         seen.add(voter)
-        if choice not in _CHOICE_TO_PREF:
+        if choice not in _CHOICES:
             raise BallotError(f"line {lineno}: choice must be X, Y or TIE, got {row[1]!r}")
-        prefs.append(_CHOICE_TO_PREF[choice])
+        prefs.append(Preference(_CHOICES.index(choice)))
     if len(prefs) < 2:
         raise BallotError("a ballot file needs at least two voters")
     return Profile(tuple(prefs))
 
 
 def read_ballots(path: str) -> Profile:
-    with open(path, "r", encoding="utf-8", newline="") as fp:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fp:
         try:
             text = fp.read()
         except UnicodeDecodeError as exc:
@@ -98,11 +97,13 @@ def ballots_text(profile: Profile) -> str:
     Voter ids are v1..vn (1-based, matching CLI-facing numbering)."""
     lines = ["voter,choice"]
     for i, pref in enumerate(profile, start=1):
-        lines.append(f"v{i},{_PREF_TO_CHOICE[pref]}")
+        lines.append(f"v{i},{_CHOICES[pref]}")
     return "\n".join(lines) + "\n"
 
 
 def _emit(doc) -> None:
+    import json
+
     click.echo(json.dumps(doc, indent=2))
 
 
@@ -113,6 +114,9 @@ def _die(code: int, message: str) -> None:
 
 def _load_rule(spec: str, n: int, anonymous: bool):
     """A rule from ``builtin:qm:Q:A`` or from a table file path."""
+    from .core import Alternative
+    from .rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
+
     if spec.startswith("builtin:"):
         parts = spec.split(":")
         if len(parts) != 4 or parts[1] != "qm":
@@ -127,7 +131,7 @@ def _load_rule(spec: str, n: int, anonymous: bool):
         except ValueError as exc:
             _die(EXIT_GUARD, str(exc))
     try:
-        with open(spec, "r", encoding="utf-8") as fp:
+        with open(spec, "r", encoding="utf-8-sig") as fp:
             line = fp.read()
     except OSError as exc:
         _die(EXIT_BAD_INPUT, str(exc))
@@ -152,6 +156,9 @@ def main() -> None:
 @click.option("--reform", required=True, type=click.Choice(["X", "Y"], case_sensitive=False))
 def decide(ballots_path: str, quota: int, reform: str) -> None:
     """Decide a ballot file under a qualified majority rule."""
+    from .core import Alternative, is_qualified, tally
+    from .rules import QualifiedMajorityRule
+
     try:
         profile = read_ballots(ballots_path)
     except (OSError, BallotError) as exc:
@@ -180,6 +187,8 @@ def decide(ballots_path: str, quota: int, reform: str) -> None:
 @click.option("--ballots", "ballots_path", required=True, help="CSV ballot file.")
 def tally_cmd(ballots_path: str) -> None:
     """Tally a ballot file without deciding it."""
+    from .core import tally
+
     try:
         profile = read_ballots(ballots_path)
     except (OSError, BallotError) as exc:
@@ -206,12 +215,16 @@ def check(rule_spec: str, n: int, quota: int, anonymous: bool) -> None:
     rule = _load_rule(rule_spec, n, anonymous)
     if not 0 <= quota <= n:
         _die(EXIT_GUARD, f"quota must lie in 0..{n}, got {quota}")
+    from .verifier import run_table_checks
+
     reports = run_table_checks(rule, n, quota)
     _emit([r.to_json_dict() for r in reports])
     sys.exit(EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED)
 
 
 def _run_enumerations(n, quotas, space):
+    from .verifier import enumerate_anonymous, enumerate_full
+
     runner = enumerate_full if space == SPACE_FULL else enumerate_anonymous
     results = []
     for q in quotas:
@@ -242,6 +255,8 @@ def _run_enumerations(n, quotas, space):
 )
 def verify(n, quota, all_q, space, no_timing, long_run) -> None:
     """Enumerate a rule space and compare survivors against the quota rules."""
+    from .verifier import GuardError, _guard_voters
+
     if (quota is None) and not all_q:
         _die(EXIT_BAD_INPUT, "provide --q or --all-q")
     if (quota is not None) and all_q:
@@ -275,6 +290,8 @@ def verify(n, quota, all_q, space, no_timing, long_run) -> None:
 )
 def enumerate_cmd(n, quota, space, no_timing, long_run) -> None:
     """Like verify for one quota, but include each survivor's full table."""
+    from .verifier import decode_rule
+
     result = _run_enumerations(n, [quota], space)[0]
     doc = result.to_json_dict(include_timing=not no_timing)
     for entry in doc["survivors"]:

@@ -24,6 +24,8 @@ ones off the tally classes. ``run_table_checks``, behind ``qmvote
 check``, scans one rule's output column against the full-space tables and
 stops at the first violation of each axiom in canonical order; the
 profile-level checkers in ``axioms`` are the oracle it is tested against.
+It is the one path here that imports ``axioms``, for the report types,
+so ``verify`` and ``enumerate`` load none of it.
 
 ``_sweep_survivors`` is the oracle the tests compare the search with: the numpy
 kernel in ``_kernels`` tests every encoding, over contiguous ranges split
@@ -44,10 +46,9 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import _twosat
-from .axioms import ANONYMITY, Q_NEUTRALITY, RESPONSIVENESS, AxiomReport, Witness
 from .core import (
     Alternative,
     Preference,
@@ -67,6 +68,9 @@ from .rules import (
     tally_class_index,
     tally_classes,
 )
+
+if TYPE_CHECKING:
+    from .axioms import AxiomReport
 
 SPACE_FULL = "full"
 SPACE_ANONYMOUS = "anonymous"
@@ -297,6 +301,8 @@ def _first_neutrality_violation(cells: _Cells, out: bytes, q: int) -> _Violation
 def _report(
     axiom: str, n: int, out: bytes, found: _Violation, q: Optional[int] = None
 ) -> AxiomReport:
+    from .axioms import AxiomReport, Witness
+
     if found is None:
         return AxiomReport(axiom, True, q=q)
     p, t, expected = found
@@ -315,6 +321,8 @@ def run_table_checks(rule, n: int, q: int) -> list[AxiomReport]:
     ``AnonymousTableRule`` or a ``QualifiedMajorityRule``; an anonymous
     table is lifted to the profiles, so its witnesses name profiles too.
     """
+    from .axioms import ANONYMITY, Q_NEUTRALITY, RESPONSIVENESS
+
     if not 0 <= q <= n:
         raise ValueError(f"quota must lie in 0..{n}, got {q}")
     cells = _profile_cells(n)

@@ -165,6 +165,26 @@ def test_non_utf8_input_files_are_bad_input(tmp_path, command, data):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["tally", "--ballots", "{path}"], "voter,choice\nv1,X\nv2,TIE\nv3,Y\n"),
+        # the table of builtin:qm:2:X at n=2, which passes every check
+        (["check", "--rule", "{path}", "--n", "2", "--q", "2"], "XYYYYYYYY\n"),
+    ],
+    ids=["tally", "check"],
+)
+def test_utf8_byte_order_mark_is_skipped(tmp_path, command, text):
+    # spreadsheet "CSV UTF-8" exports start the file with a byte-order mark
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want, got = (run_cli(*(arg.format(path=p) for arg in command)) for p in (plain, marked))
+    assert want.returncode == 0, want.stderr
+    assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, "")
+
+
 def test_check_unqualified_builtin_is_a_precondition_error():
     proc = run_cli("check", "--rule", "builtin:qm:1:X", "--n", "3", "--q", "1")
     assert proc.returncode == 3
@@ -266,16 +286,48 @@ def test_enumerate_guard_violation():
         assert "has 14,196 cells, past the 14,000-cell limit" in proc.stderr
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy and the thread pool serve only the library's sweep oracle, so no
-    # CLI call pays their import, and no CLI call starts worker processes
+def loaded_modules(call, modules):
+    """Which of ``modules`` a fresh interpreter has loaded after ``call``."""
     code = (
-        "import sys, qmvote.cli; "
-        "print(sorted({'numpy', 'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        "import sys\n"
+        f"{call}\n"
+        f"print(*set({sorted(modules)!r}) & set(sys.modules))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def cli_call(*args):
+    return (
+        "from qmvote.cli import main\n"
+        "try:\n"
+        f"    main({list(args)!r})\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code"
+    )
+
+
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # numpy and the thread pool serve only the library's sweep oracle, so no
+    # CLI call pays their import, and no CLI call starts worker processes.
+    # Each subcommand imports only the modules it runs: verify needs no
+    # axioms, decide no verifier, and --help none of the library.
+    library = {"qmvote.core", "qmvote.rules", "qmvote.axioms", "qmvote.verifier", "qmvote._twosat"}
+    heavy = {"numpy", "concurrent.futures", "multiprocessing"}
+    assert loaded_modules("import qmvote.cli", library | heavy) == set()
+    verify = cli_call("verify", "--n", "5", "--all-q", "--space", "anonymous")
+    assert loaded_modules(verify, {"qmvote.axioms", "qmvote.verifier"}) == {"qmvote.verifier"}
+    path = write_ballot_file(tmp_path, ["X", "X", "TIE"])
+    decide = cli_call("decide", "--ballots", str(path), "--q", "2", "--reform", "X")
+    assert loaded_modules(decide, {"qmvote.core", "qmvote.verifier"}) == {"qmvote.core"}
+
+
+def test_cli_space_names_are_the_verifier_spaces():
+    # cli restates the space names so that parsing --space needs no verifier
+    from qmvote import cli, verifier
+
+    assert (cli.SPACE_FULL, cli.SPACE_ANONYMOUS) == (verifier.SPACE_FULL, verifier.SPACE_ANONYMOUS)
 
 
 def test_help_lists_all_subcommands():
