@@ -8,16 +8,19 @@ chunks; within a chunk the checks run as whole-array masks
 (preference-reversal pairing, then single-voter moves, then adjacent
 transpositions).
 
-The verifier searches with its 2-SAT engine and runs this kernel only
-as the oracle the tests compare that engine with, or for a library call
-that drops axioms and has more survivors than the SAT engine lists. It
-imports this module (and numpy) only then. The verifier's ``workers``
-splits this sweep into ranges and sets nothing else.
+The verifier decides every call with its 2-SAT search and never imports
+this module: ``sweep_survivors`` is only the oracle the tests compare
+that search with. It runs in one thread and has no size guard, so its
+caller picks a size that fits. It stays in the package, next to
+``scan_rules``, because the benchmark's trace hook wraps ``scan_rules``
+here by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .verifier import SPACE_FULL, _checked_cells
 
 _CHUNK = 1 << 14
 
@@ -71,3 +74,26 @@ def scan_rules(
     if not found:
         return np.empty(0, np.int64)
     return np.concatenate(found)
+
+
+def sweep_survivors(space: str, n: int, q: int, **checks: bool) -> list[int]:
+    """Encodings of the rules of ``space`` at n voters passing the checks
+    selected by ``want_neutrality``, ``want_responsiveness`` and
+    ``want_anonymity``, ascending, found by testing every encoding. Every
+    check is on by default, except anonymity in the anonymous space, where
+    it always holds."""
+    cells = _checked_cells(space, n, q)
+    checks = {"want_anonymity": space == SPACE_FULL, **checks}
+    found = scan_rules(
+        0,
+        1 << cells.ncells,
+        [int(s >= q) for s in cells.support],
+        cells.dual_idx,
+        cells.resp_x_indptr,
+        cells.resp_x_targets,
+        cells.resp_y_indptr,
+        cells.resp_y_targets,
+        cells.trans,
+        **checks,
+    )
+    return found.tolist()

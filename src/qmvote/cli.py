@@ -57,7 +57,10 @@ def read_ballots_text(text: str) -> Profile:
     from .core import Preference, Profile
 
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise BallotError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise BallotError("empty ballot file")
     header = [c.strip().lower() for c in rows[0]]
@@ -246,14 +249,7 @@ def _run_enumerations(n, quotas, space):
     show_default=True,
 )
 @click.option("--no-timing", "no_timing", is_flag=True, help="Omit elapsed_ms from reports.")
-@click.option(
-    "--long-run",
-    "long_run",
-    is_flag=True,
-    help="No longer widens verify or enumerate, which share one 14,000-cell cap; "
-    "accepted so that older command lines still parse.",
-)
-def verify(n, quota, all_q, space, no_timing, long_run) -> None:
+def verify(n, quota, all_q, space, no_timing) -> None:
     """Enumerate a rule space and compare survivors against the quota rules."""
     from .verifier import GuardError, _guard_voters
 
@@ -281,14 +277,7 @@ def verify(n, quota, all_q, space, no_timing, long_run) -> None:
     show_default=True,
 )
 @click.option("--no-timing", "no_timing", is_flag=True, help="Omit elapsed_ms from the report.")
-@click.option(
-    "--long-run",
-    "long_run",
-    is_flag=True,
-    help="No longer widens verify or enumerate, which share one 14,000-cell cap; "
-    "accepted so that older command lines still parse.",
-)
-def enumerate_cmd(n, quota, space, no_timing, long_run) -> None:
+def enumerate_cmd(n, quota, space, no_timing) -> None:
     """Like verify for one quota, but include each survivor's full table."""
     from .verifier import decode_rule
 

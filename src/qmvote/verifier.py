@@ -14,7 +14,8 @@ rules that fail, so its cost follows the cell count, and
 responsiveness and anonymity clauses do not depend on the quota: their
 implication graph is built once per space, n and axiom subset
 (``_base_graph``), and each quota adds only the q-neutrality lookup. It
-is guarded by a cell cap and a survivor cap.
+is guarded by a cell cap and a survivor cap; a call past the survivor
+cap, which only a call that drops axioms can reach, is refused at every n.
 
 The index tables behind both spaces are built arithmetically, with no
 ``Profile`` objects: ``_profile_cells`` reads every full-space relation
@@ -27,20 +28,13 @@ profile-level checkers in ``axioms`` are the oracle it is tested against.
 It is the one path here that imports ``axioms``, for the report types,
 so ``verify`` and ``enumerate`` load none of it.
 
-``_sweep_survivors`` is the oracle the tests compare the search with: the numpy
-kernel in ``_kernels`` tests every encoding, over contiguous ranges split
-across at most one thread per CPU (numpy releases the interpreter lock
-inside its array operations, so the threads overlap). ``workers`` sets
-that split and nothing else. The sweep has its own n caps, and it also
-serves a library call whose survivors pass the SAT survivor cap while
-the sweep's caps admit the size. numpy and the thread pool are imported
-only when the sweep runs.
+The search is the one engine. The sweep in ``_kernels``, which tests
+every encoding, is only the oracle the tests compare it with, and
+nothing here imports it.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import time
 from array import array
 from dataclasses import dataclass
@@ -86,9 +80,6 @@ SPACE_ANONYMOUS = "anonymous"
 _SAT_MAX_CELLS = 14000
 # the SAT engine lists every survivor; refuse before that list grows large
 _SAT_MAX_SURVIVORS = 1 << 16
-# sweep guards, in voters: the plain cap and the ceiling with the long-run flag
-_FULL_MAX, _FULL_LONG_MAX = 2, 3
-_ANON_MAX, _ANON_LONG_MAX = 5, 6
 
 
 class GuardError(ValueError):
@@ -357,74 +348,6 @@ def _guard_sat(space: str, n: int) -> None:
     raise GuardError(f"{where} past the {_SAT_MAX_CELLS:,}-cell limit{other}")
 
 
-def _guard_sweep(space: str, n: int, allow_long_run: bool) -> None:
-    _guard_voters(n)
-    if space == SPACE_FULL:
-        if n <= _FULL_MAX:
-            return
-        if n <= _FULL_LONG_MAX:
-            if allow_long_run:
-                return
-            raise GuardError(
-                f"full space at n={n} has 2^{3 ** n} rules; pass allow_long_run=True "
-                "(CLI: --long-run) or use the anonymous space"
-            )
-        raise GuardError(
-            f"full space at n={n} has 2^{3 ** n} rules and is infeasible; "
-            "use the anonymous space"
-        )
-    if n <= _ANON_MAX:
-        return
-    if n <= _ANON_LONG_MAX:
-        if allow_long_run:
-            return
-        raise GuardError(
-            f"anonymous space at n={n} has 2^{num_tally_classes(n)} rules; "
-            "pass allow_long_run=True (CLI: --long-run)"
-        )
-    raise GuardError(
-        f"anonymous space at n={n} has 2^{num_tally_classes(n)} rules and is infeasible"
-    )
-
-
-def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous spans of [0, total), one per worker; never more spans than CPUs."""
-    workers = max(1, min(workers, os.cpu_count() or 1))
-    chunk = math.ceil(total / workers)
-    return [(lo, min(total, lo + chunk)) for lo in range(0, total, chunk)]
-
-
-def _sweep(cells: _Cells, q: int, workers: int, **checks: bool) -> list[int]:
-    # numpy and the thread pool are loaded only when the oracle runs
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import _kernels
-
-    in_rq = [int(s >= q) for s in cells.support]
-
-    def run(span: tuple[int, int]):
-        return _kernels.scan_rules(
-            span[0],
-            span[1],
-            in_rq,
-            cells.dual_idx,
-            cells.resp_x_indptr,
-            cells.resp_x_targets,
-            cells.resp_y_indptr,
-            cells.resp_y_targets,
-            cells.trans,
-            **checks,
-        )
-
-    spans = _ranges(1 << cells.ncells, workers)
-    if len(spans) == 1:
-        parts = [run(spans[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            parts = list(pool.map(run, spans))
-    return sorted(int(v) for part in parts for v in part)
-
-
 def _space_cells(space: str, n: int) -> _Cells:
     return _profile_cells(n) if space == SPACE_FULL else _tally_cells(n)
 
@@ -450,7 +373,6 @@ def _scan_space(
     n: int,
     q: int,
     *,
-    allow_long_run: bool,
     want_neutrality: bool,
     want_responsiveness: bool,
     want_anonymity: bool,
@@ -465,51 +387,18 @@ def _scan_space(
         q=q,
     )
     if len(survivors) > _SAT_MAX_SURVIVORS:
-        # only a call that drops axioms gets here; the sweep lists any
-        # number of survivors, so it takes over where its own caps allow
-        try:
-            _guard_sweep(space, n, allow_long_run)
-        except GuardError:
-            raise GuardError(
-                f"more than {_SAT_MAX_SURVIVORS:,} rules of the {space} space at n={n} "
-                "pass the selected axioms; select more axioms"
-            ) from None
-        survivors = _sweep(
-            cells,
-            q,
-            os.cpu_count() or 1,
-            want_neutrality=want_neutrality,
-            want_responsiveness=want_responsiveness,
-            want_anonymity=want_anonymity,
+        # only a call that drops axioms gets here
+        raise GuardError(
+            f"more than {_SAT_MAX_SURVIVORS:,} rules of the {space} space at n={n} "
+            "pass the selected axioms; select more axioms"
         )
     return 1 << cells.ncells, survivors
-
-
-def _sweep_survivors(
-    space: str,
-    n: int,
-    q: int,
-    *,
-    workers: int = 1,
-    allow_long_run: bool = False,
-    **checks: bool,
-) -> list[int]:
-    """The oracle: encodings of the rules passing the checks selected by
-    ``want_neutrality``, ``want_responsiveness`` and ``want_anonymity``,
-    found by testing every encoding of the space. Every check is on by
-    default, except anonymity in the anonymous space, where it always
-    holds."""
-    _guard_sweep(space, n, allow_long_run)
-    cells = _checked_cells(space, n, q)
-    checks = {"want_anonymity": space == SPACE_FULL, **checks}
-    return _sweep(cells, q, workers, **checks)
 
 
 def survivors_full(
     n: int,
     q: int,
     *,
-    allow_long_run: bool = False,
     use_anonymity: bool = True,
     use_responsiveness: bool = True,
     use_neutrality: bool = True,
@@ -520,7 +409,6 @@ def survivors_full(
         SPACE_FULL,
         n,
         q,
-        allow_long_run=allow_long_run,
         want_neutrality=use_neutrality,
         want_responsiveness=use_responsiveness,
         want_anonymity=use_anonymity,
@@ -532,7 +420,6 @@ def survivors_anonymous(
     n: int,
     q: int,
     *,
-    allow_long_run: bool = False,
     use_responsiveness: bool = True,
     use_neutrality: bool = True,
 ) -> list[int]:
@@ -545,7 +432,6 @@ def survivors_anonymous(
         SPACE_ANONYMOUS,
         n,
         q,
-        allow_long_run=allow_long_run,
         want_neutrality=use_neutrality,
         want_responsiveness=use_responsiveness,
         want_anonymity=False,
@@ -626,22 +512,17 @@ def _build_result(
     )
 
 
-def enumerate_full(n: int, q: int, *, allow_long_run: bool = False) -> VerificationResult:
-    """Decide all 2^(3^n) profile tables and intersect the three axiom sets.
-
-    ``allow_long_run`` is accepted and ignored: one cell cap serves every call.
-    """
+def enumerate_full(n: int, q: int) -> VerificationResult:
+    """Decide all 2^(3^n) profile tables and intersect the three axiom sets."""
     return _enumerate(SPACE_FULL, n, q)
 
 
-def enumerate_anonymous(
-    n: int, q: int, *, allow_long_run: bool = False
-) -> VerificationResult:
+def enumerate_anonymous(n: int, q: int) -> VerificationResult:
     """Decide all anonymous tally tables and intersect the axiom sets.
 
     Restricting to this space loses nothing: anonymity is one of the
     intersected axioms, and every anonymous rule has exactly one tally
-    table representative. ``allow_long_run`` is accepted and ignored.
+    table representative.
     """
     return _enumerate(SPACE_ANONYMOUS, n, q)
 
@@ -653,7 +534,6 @@ def _enumerate(space: str, n: int, q: int) -> VerificationResult:
         space,
         n,
         q,
-        allow_long_run=False,  # with every axiom at most two rules survive
         want_neutrality=True,
         want_responsiveness=True,
         want_anonymity=space == SPACE_FULL,
@@ -662,9 +542,7 @@ def _enumerate(space: str, n: int, q: int) -> VerificationResult:
     return _build_result(space, n, q, examined, survivors, elapsed_ms)
 
 
-def verify_characterization(
-    n: int, q: int, space: str = SPACE_FULL, *, allow_long_run: bool = False
-) -> bool:
+def verify_characterization(n: int, q: int, space: str = SPACE_FULL) -> bool:
     """True iff the enumeration at this single q matches the expected rule set."""
     if space not in (SPACE_FULL, SPACE_ANONYMOUS):
         raise ValueError(f"unknown space {space!r}")

@@ -166,6 +166,24 @@ def test_non_utf8_input_files_are_bad_input(tmp_path, command, data):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["decide", "--ballots", "{path}", "--q", "2", "--reform", "X"],
+        ["tally", "--ballots", "{path}"],
+    ],
+    ids=["decide", "tally"],
+)
+def test_ballot_field_past_the_csv_size_limit_is_bad_input(tmp_path, command):
+    # csv refuses a field longer than 131,072 characters
+    path = tmp_path / "ballots.csv"
+    path.write_text(f"voter,choice\n{'v' * 200_000},X\nv2,Y\n")
+    proc = run_cli(*(arg.format(path=path) for arg in command))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 2: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize(
     "command, text",
     [
         (["tally", "--ballots", "{path}"], "voter,choice\nv1,X\nv2,TIE\nv3,Y\n"),
@@ -278,12 +296,15 @@ def test_enumerate_includes_tables():
 
 
 def test_enumerate_guard_violation():
-    # anonymous n=167 has 14,196 cells, past the 14,000-cell cap, which
-    # --long-run no longer lifts
-    for extra in ((), ("--long-run",)):
-        proc = run_cli("enumerate", "--n", "167", "--q", "84", "--space", "anonymous", *extra)
-        assert proc.returncode == 3
-        assert "has 14,196 cells, past the 14,000-cell limit" in proc.stderr
+    # anonymous n=167 has 14,196 cells, past the 14,000-cell cap
+    args = ("enumerate", "--n", "167", "--q", "84", "--space", "anonymous")
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    assert "has 14,196 cells, past the 14,000-cell limit" in proc.stderr
+    # no option lifts the cap; the former --long-run is a usage error
+    proc = run_cli(*args, "--long-run")
+    assert proc.returncode == 2
+    assert "No such option" in proc.stderr and "--long-run" in proc.stderr
 
 
 def loaded_modules(call, modules):
@@ -309,8 +330,8 @@ def cli_call(*args):
 
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):
-    # numpy and the thread pool serve only the library's sweep oracle, so no
-    # CLI call pays their import, and no CLI call starts worker processes.
+    # numpy serves only the tests' sweep oracle, so no CLI call pays its
+    # import, and no CLI call starts threads or worker processes.
     # Each subcommand imports only the modules it runs: verify needs no
     # axioms, decide no verifier, and --help none of the library.
     library = {"qmvote.core", "qmvote.rules", "qmvote.axioms", "qmvote.verifier", "qmvote._twosat"}

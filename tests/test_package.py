@@ -74,3 +74,29 @@ def test_bare_import_loads_no_submodule_and_needs_no_click():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "qmvote.core", "True", "True"]
+
+
+def test_library_runs_without_numpy():
+    # numpy serves only the tests' sweep oracle; the library needs none of it
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from qmvote import GuardError, enumerate_anonymous, enumerate_full, survivors_anonymous\n"
+        "for result in (enumerate_full(3, 2), enumerate_anonymous(6, 4)):\n"
+        "    print(result.matches_theorem, len(result.survivors))\n"
+        "no_axioms = dict(use_responsiveness=False, use_neutrality=False)\n"
+        "print(survivors_anonymous(4, 2, **no_axioms) == list(range(2**15)))\n"
+        "try:\n"
+        "    survivors_anonymous(5, 3, **no_axioms)\n"
+        "except GuardError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "True 2",
+        "True 2",
+        "True",
+        "more than 65,536 rules of the anonymous space at n=5 pass the selected axioms; "
+        "select more axioms",
+    ]

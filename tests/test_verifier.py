@@ -24,6 +24,7 @@ from qmvote.rules import (
     threshold_table_rule,
 )
 from qmvote import _twosat
+from qmvote._kernels import sweep_survivors
 from qmvote.axioms import (
     check_anonymity,
     check_q_neutrality,
@@ -38,8 +39,6 @@ from qmvote.verifier import (
     _base_graph,
     _csr,
     _profile_cells,
-    _ranges,
-    _sweep_survivors,
     enumerate_anonymous,
     enumerate_full,
     merge_profile,
@@ -171,22 +170,6 @@ def test_arithmetic_profile_tables_match_the_profile_level_reference():
 # --- enumeration guard rails ------------------------------------------------
 
 
-def test_full_space_guards():
-    with pytest.raises(GuardError, match="anonymous"):
-        _sweep_survivors(SPACE_FULL, 3, 2)
-    with pytest.raises(GuardError):
-        _sweep_survivors(SPACE_FULL, 4, 2, allow_long_run=True)
-    with pytest.raises(GuardError):
-        _sweep_survivors(SPACE_FULL, 1, 0)
-
-
-def test_anonymous_space_guards():
-    with pytest.raises(GuardError, match="long-run"):
-        _sweep_survivors(SPACE_ANONYMOUS, 6, 4)
-    with pytest.raises(GuardError):
-        _sweep_survivors(SPACE_ANONYMOUS, 7, 4, allow_long_run=True)
-
-
 def test_sat_cell_cap():
     # full n=9 has 19,683 cells and anonymous n=167 has 14,196, both past 14,000
     with pytest.raises(GuardError, match="anonymous space"):
@@ -201,11 +184,6 @@ def test_sat_cell_cap_admits_anonymous_n165():
     # anonymous n=165 has 13,861 cells, the most under the cap
     result = enumerate_anonymous(165, 83)
     assert result.matches_theorem and len(result.survivors) == 2
-    # the long-run flag no longer lifts the cap
-    with pytest.raises(GuardError, match="14,000-cell limit"):
-        enumerate_anonymous(167, 84, allow_long_run=True)
-    with pytest.raises(GuardError, match="14,000-cell limit"):
-        enumerate_full(9, 5, allow_long_run=True)
 
 
 def test_sat_guard_refuses_a_huge_n_without_its_cell_count():
@@ -225,11 +203,11 @@ def test_sat_survivor_cap():
     no_axioms = dict(use_neutrality=False, use_responsiveness=False)
     # 2^15 survivors at n=4 stay under the cap, listed in ascending order
     assert survivors_anonymous(4, 2, **no_axioms) == list(range(2**15))
-    # all 2^21 anonymous n=5 tables survive; the sweep lists them instead
-    assert survivors_anonymous(5, 3, **no_axioms) == list(range(2**21))
-    # at n=6 the sweep needs the long-run flag, so the call is refused
-    with pytest.raises(GuardError, match="more than 65,536"):
-        survivors_anonymous(6, 3, **no_axioms)
+    # all 2^21 anonymous n=5 tables survive, past the cap, so the call is
+    # refused, as at every larger n
+    for n in (5, 6):
+        with pytest.raises(GuardError, match="more than 65,536"):
+            survivors_anonymous(n, 3, **no_axioms)
 
 
 def test_bad_quota_rejected():
@@ -350,22 +328,6 @@ def test_single_axiom_kernel_filters_match_the_checkers():
     assert survivors_full(2, 0, **no_checks) == list(range(512))
 
 
-# --- determinism ------------------------------------------------------------
-
-
-def test_results_identical_across_worker_counts():
-    # only the sweep splits its work; the split must not change its result
-    full = [_sweep_survivors(SPACE_FULL, 2, 2, workers=w) for w in (1, 3)]
-    assert full[0] == full[1] == survivors_full(2, 2)
-    anonymous = [_sweep_survivors(SPACE_ANONYMOUS, 4, 2, workers=w) for w in (1, 8)]
-    assert anonymous[0] == anonymous[1] == survivors_anonymous(4, 2)
-
-
-def test_worker_count_is_capped_at_the_cpu_count():
-    # one thread runs per span, so an oversized worker count must not fan out
-    assert len(_ranges(2**21, 10**6)) <= (os.cpu_count() or 1)
-
-
 # --- corruption is always caught --------------------------------------------
 
 
@@ -427,7 +389,7 @@ def sweep_checks(axioms):
 def test_engines_agree_on_the_full_space_n2():
     for q in range(3):
         for axioms in AXIOM_SUBSETS:
-            sweep = _sweep_survivors(SPACE_FULL, 2, q, **sweep_checks(axioms))
+            sweep = sweep_survivors(SPACE_FULL, 2, q, **sweep_checks(axioms))
             assert survivors_full(2, q, **axioms) == sweep, (q, axioms)
 
 
@@ -436,20 +398,22 @@ def test_engines_agree_on_the_anonymous_spaces_n2_to_n5():
     # the combined sweep by definition; responsiveness does not depend on
     # q, so it is swept once per n
     for n in range(2, 6):
-        responsive = _sweep_survivors(SPACE_ANONYMOUS, n, 0, workers=2, want_neutrality=False)
+        responsive = sweep_survivors(SPACE_ANONYMOUS, n, 0, want_neutrality=False)
         for q in range(n + 1):
-            neutral = _sweep_survivors(
-                SPACE_ANONYMOUS, n, q, workers=2, want_responsiveness=False
-            )
+            neutral = sweep_survivors(SPACE_ANONYMOUS, n, q, want_responsiveness=False)
             oracle = {
                 (True, True): sorted(set(responsive).intersection(neutral)),
                 (True, False): responsive,
                 (False, True): neutral,
-                (False, False): list(range(2 ** num_tally_classes(n))),
+                (False, False): range(2 ** num_tally_classes(n)),
             }
             for axioms in ANONYMOUS_SUBSETS:
                 want = oracle[axioms["use_responsiveness"], axioms["use_neutrality"]]
-                assert survivors_anonymous(n, q, **axioms) == want, (n, q, axioms)
+                if len(want) > 2**16:  # no axiom at n=5: 2^21 rules, past the survivor cap
+                    with pytest.raises(GuardError, match="more than 65,536"):
+                        survivors_anonymous(n, q, **axioms)
+                else:
+                    assert survivors_anonymous(n, q, **axioms) == list(want), (n, q, axioms)
 
 
 # --- the SAT engine against the profile-level checkers ----------------------
@@ -650,14 +614,14 @@ def test_all_q_builds_the_base_graph_once():
 
 def test_full_n3_long_run_theorem():
     for q in range(4):
-        result = enumerate_full(3, q, allow_long_run=True)
+        result = enumerate_full(3, q)
         assert result.rules_examined == 2**27
         assert result.matches_theorem
 
 
 def test_anonymous_n6_long_run_theorem():
     for q in range(7):
-        result = enumerate_anonymous(6, q, allow_long_run=True)
+        result = enumerate_anonymous(6, q)
         assert result.rules_examined == 2**28
         assert result.matches_theorem
 
@@ -670,9 +634,7 @@ def test_full_n3_long_run_theorem_sweep():
     counts = full_cell_counts(3)
     for q in range(4):
         want = quota_rule_encodings(counts, q) if 2 * q > 3 else []
-        found = _sweep_survivors(
-            SPACE_FULL, 3, q, workers=os.cpu_count() or 1, allow_long_run=True
-        )
+        found = sweep_survivors(SPACE_FULL, 3, q)
         assert found == want, q
 
 
@@ -684,7 +646,5 @@ def test_anonymous_n6_long_run_theorem_sweep():
     counts = [(nx, ny) for nx in range(7) for ny in range(7 - nx)]
     for q in range(7):
         want = quota_rule_encodings(counts, q) if 2 * q > 6 else []
-        found = _sweep_survivors(
-            SPACE_ANONYMOUS, 6, q, workers=os.cpu_count() or 1, allow_long_run=True
-        )
+        found = sweep_survivors(SPACE_ANONYMOUS, 6, q)
         assert found == want, q
