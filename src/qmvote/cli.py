@@ -8,7 +8,9 @@ violation.
 Start-up is most of a call's wall time at small n, so this module
 imports only ``sys`` and click, and each subcommand imports the library
 modules it runs: ``--help`` loads none, ``decide`` and ``tally`` no
-``verifier``, and ``verify`` and ``enumerate`` no ``axioms``.
+``verifier``, ``verify`` and ``enumerate`` no ``axioms``, and ``check``
+only ``core``, ``rules``, ``axioms`` (for the report types) and
+``_tablecheck``, with no ``verifier`` and no ``_twosat``.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_GUARD = 3
 
-# check scans index tables with one cell per profile, so each further
-# voter roughly triples its time and memory. One call of a quota rule on
-# 2 vCPUs: n=10 0.5-0.7 s and 28 MB peak RSS, n=11 1.3-2.0 s and 52 MB,
-# n=12 4.4-5.8 s and 125 MB.
-_CHECK_MAX_N = 12
+# check works on bitsets of one bit per profile, so each further voter
+# roughly triples its time and memory. The cap keeps a fresh call within
+# 1 s and 256 MB peak RSS on 2 vCPUs (Intel Xeon, Python 3.11.7): at n=15
+# a quota rule took 0.37-0.55 s and 63 MB, a table file with one flipped
+# cell 0.55-0.69 s and 71 MB, an anonymous table 0.43-0.62 s and 61 MB;
+# at n=16 a quota rule alone took 1.2-1.7 s and 155 MB.
+_CHECK_MAX_N = 15
 
 # Ballot choices, indexed by the value of their ``core.Preference``.
 _CHOICES = ("X", "Y", "TIE")
@@ -218,7 +222,7 @@ def check(rule_spec: str, n: int, quota: int, anonymous: bool) -> None:
     rule = _load_rule(rule_spec, n, anonymous)
     if not 0 <= quota <= n:
         _die(EXIT_GUARD, f"quota must lie in 0..{n}, got {quota}")
-    from .verifier import run_table_checks
+    from ._tablecheck import run_table_checks
 
     reports = run_table_checks(rule, n, quota)
     _emit([r.to_json_dict() for r in reports])

@@ -9,7 +9,7 @@ are memoized in bounded caches shared across threads: ``tally`` and
 per voter count. ``permute`` and ``responsive_neighbors`` are recomputed
 on every call. These operations serve the profile-level checkers in
 ``axioms`` (the oracle), the rule encoders and the proof helpers; the
-verifier builds its index tables, and ``qmvote check`` its scans, from
+verifier builds its index tables, and ``qmvote check`` its bitsets, from
 base-3 digit arithmetic on profile indices instead.
 
 Canonical profile numbering: a profile is read as a base-3 integer whose
@@ -253,6 +253,15 @@ def responsive_neighbors(profile: Profile, winner: Alternative) -> tuple[Profile
         elif v is Preference.INDIFFERENT:
             out.append(Profile(voters[:i] + (winner_pref,) + voters[i + 1 :]))
     return tuple(out)
+
+
+# Per digit of a voter (0 = STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT), the
+# digit changes of that voter's moves toward X and toward Y, in the order
+# of responsive_neighbors. A move changes the profile index by the change
+# times 3^i, so the verifier's index tables and the bitsets behind
+# ``qmvote check`` read the canonical move order off these.
+_TOWARD_X = ((), (1, -1), (-2,))
+_TOWARD_Y = ((2, 1), (), (-1,))
 
 
 # one entry holds 3^n profiles; the test suite walks seven voter counts

@@ -75,8 +75,9 @@ def _line_bits(line: str, width: int, table: str) -> int:
     text = line.strip()
     if len(text) != width:
         raise ValueError(f"{table} needs {width} characters, got {len(text)}")
-    bad = _NOT_XY.search(text)
-    if bad:
+    # counting is a fast scan; the search only names the first bad character
+    if text.count("X") + text.count("Y") != width:
+        bad = _NOT_XY.search(text)
         raise ValueError(f"rule tables use only X and Y: {bad.group()!r} at position {bad.start()}")
     # an empty line fits only n < 1, which the rule's own voter check refuses
     return int(text[::-1].translate(_XY_TO_DIGITS) or "0", 2)

@@ -21,12 +21,9 @@ The index tables behind both spaces are built arithmetically, with no
 ``Profile`` objects: ``_profile_cells`` reads every full-space relation
 (dual, adjacent transpositions, single-voter moves) off the base-3
 digits of a profile's index, and ``_tally_cells`` reads the anonymous
-ones off the tally classes. ``run_table_checks``, behind ``qmvote
-check``, scans one rule's output column against the full-space tables and
-stops at the first violation of each axiom in canonical order; the
-profile-level checkers in ``axioms`` are the oracle it is tested against.
-It is the one path here that imports ``axioms``, for the report types,
-so ``verify`` and ``enumerate`` load none of it.
+ones off the tally classes. Nothing here imports ``axioms``, so
+``verify`` and ``enumerate`` load none of it; ``qmvote check`` runs in
+``_tablecheck`` and loads none of this module.
 
 The search is the one engine. The sweep in ``_kernels``, which tests
 every encoding, is only the oracle the tests compare it with, and
@@ -39,11 +36,13 @@ import time
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 from . import _twosat
 from .core import (
+    _TOWARD_X,
+    _TOWARD_Y,
     Alternative,
     Preference,
     Profile,
@@ -54,17 +53,12 @@ from .core import (
 )
 from .rules import (
     AnonymousTableRule,
-    QualifiedMajorityRule,
     TableRule,
     evaluator,
     num_tally_classes,
     qualified_majority_rules,
-    tally_class_index,
     tally_classes,
 )
-
-if TYPE_CHECKING:
-    from .axioms import AxiomReport
 
 SPACE_FULL = "full"
 SPACE_ANONYMOUS = "anonymous"
@@ -107,11 +101,8 @@ def _csr(target_lists: list[list[int]]) -> tuple[list[int], list[int]]:
 
 
 # A profile index is a base-3 number, voter i's digit weighing 3^i (0 =
-# STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT). Per digit, the digit changes of
-# one voter's move toward X or toward Y, indifferent before strict, as in
-# core.responsive_neighbors; and the digit each state takes in the dual.
-_TOWARD_X = ((), (1, -1), (-2,))
-_TOWARD_Y = ((2, 1), (), (-1,))
+# STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT). Per digit, the digit each
+# state takes in the dual; core._TOWARD_X and _TOWARD_Y give the moves.
 _DUAL_DIGIT = (1, 0, 2)
 
 
@@ -208,13 +199,6 @@ def _tally_cells(n: int) -> _Cells:
 
 # Output columns: one byte per cell, the winner there (0 = X, 1 = Y).
 _BIT_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
-_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\0\1")
-_WINNER = (Alternative.X, Alternative.Y)
-
-
-def _bits_column(bits: int, ncells: int) -> bytes:
-    """The output column of a table encoding (bit k = winner at cell k)."""
-    return format(bits, f"0{ncells}b")[::-1].encode().translate(_DIGIT_TO_BIT)
 
 
 def _column_bits(column: bytes) -> int:
@@ -228,101 +212,6 @@ def _quota_column(cells: _Cells, q: int, reform: Alternative) -> bytes:
     if reform is Alternative.X:
         return bytes(map(q.__gt__, cells.nx))
     return bytes(map(q.__le__, cells.ny))
-
-
-def _rule_column(rule, n: int, cells: _Cells) -> bytes:
-    """A rule's output column over the full-space tables, read off its
-    definition without evaluating any profile."""
-    if getattr(rule, "n", n) != n:
-        raise ValueError(f"rule is for n={rule.n}, checked at n={n}")
-    if isinstance(rule, TableRule):
-        return _bits_column(rule.bits, cells.ncells)
-    if isinstance(rule, AnonymousTableRule):
-        by_class = _bits_column(rule.bits, num_tally_classes(n))
-        classes = map(tally_class_index, repeat(n), cells.nx, cells.ny)
-        return bytes(map(by_class.__getitem__, classes))
-    if isinstance(rule, QualifiedMajorityRule):
-        return _quota_column(cells, rule.q, rule.reform)
-    raise TypeError(f"no output column for {type(rule).__name__}")
-
-
-# Each scan returns its first violation as (profile, counterpart, winner
-# the axiom requires at the counterpart), or None when the rule passes.
-_Violation = Optional[tuple[int, int, int]]
-
-
-def _first_anonymity_violation(cells: _Cells, out: bytes) -> _Violation:
-    """The first profile and transposed profile with different winners, by
-    profile index and then transposition index."""
-    first = None
-    for column in cells.trans:
-        # a later transposition comes first only at an earlier profile
-        for p in range(cells.ncells if first is None else first[0]):
-            if out[column[p]] != out[p]:
-                first = (p, column[p], out[p])
-                break
-    return first
-
-
-def _first_responsiveness_violation(cells: _Cells, out: bytes) -> _Violation:
-    """The first profile and move toward its winner that loses the winner,
-    by profile index and then canonical move order."""
-    tables = (
-        (cells.resp_x_indptr, cells.resp_x_targets),
-        (cells.resp_y_indptr, cells.resp_y_targets),
-    )
-    for p, winner in enumerate(out):
-        indptr, targets = tables[winner]
-        for j in range(indptr[p], indptr[p + 1]):
-            if out[targets[j]] != winner:
-                return p, targets[j], winner
-    return None
-
-
-def _first_neutrality_violation(cells: _Cells, out: bytes, q: int) -> _Violation:
-    """The first profile whose dual breaks q-neutrality: the winner must
-    swap under reversal exactly inside R_q."""
-    for p, (d, s) in enumerate(zip(cells.dual_idx, cells.support)):
-        required = out[p] ^ (s >= q)
-        if out[d] != required:
-            return p, d, required
-    return None
-
-
-def _report(
-    axiom: str, n: int, out: bytes, found: _Violation, q: Optional[int] = None
-) -> AxiomReport:
-    from .axioms import AxiomReport, Witness
-
-    if found is None:
-        return AxiomReport(axiom, True, q=q)
-    p, t, expected = found
-    witness = Witness(
-        Profile.from_index(n, p), Profile.from_index(n, t), _WINNER[expected], _WINNER[out[t]]
-    )
-    return AxiomReport(axiom, False, witness, q=q)
-
-
-def run_table_checks(rule, n: int, q: int) -> list[AxiomReport]:
-    """``axioms.run_all_checks(rule, n, q)``, witnesses included, as scans of
-    the rule's output column against the full-space index tables.
-
-    Each check stops at its first violation in the same canonical order as
-    the profile-level checker. ``rule`` is a ``TableRule``, an
-    ``AnonymousTableRule`` or a ``QualifiedMajorityRule``; an anonymous
-    table is lifted to the profiles, so its witnesses name profiles too.
-    """
-    from .axioms import ANONYMITY, Q_NEUTRALITY, RESPONSIVENESS
-
-    if not 0 <= q <= n:
-        raise ValueError(f"quota must lie in 0..{n}, got {q}")
-    cells = _profile_cells(n)
-    out = _rule_column(rule, n, cells)
-    return [
-        _report(ANONYMITY, n, out, _first_anonymity_violation(cells, out)),
-        _report(RESPONSIVENESS, n, out, _first_responsiveness_violation(cells, out)),
-        _report(Q_NEUTRALITY, n, out, _first_neutrality_violation(cells, out, q), q=q),
-    ]
 
 
 def _num_cells(space: str, n: int) -> int:
@@ -379,14 +268,20 @@ def _scan_space(
 ) -> tuple[int, list[int]]:
     """(2^cells, ascending encodings of the rules passing the selected axioms)."""
     cells = _checked_cells(space, n, q)
-    survivors = _twosat.solutions(
-        _base_graph(space, n, want_responsiveness, want_anonymity),
-        _SAT_MAX_SURVIVORS + 1,
-        dual=cells.dual_idx if want_neutrality else None,
-        support=cells.support,
-        q=q,
-    )
-    if len(survivors) > _SAT_MAX_SURVIVORS:
+    # with no axiom selected all 2^cells rules pass, so a count past the cap
+    # is known without listing them
+    every_rule = not (want_neutrality or want_responsiveness or want_anonymity)
+    if every_rule and 1 << cells.ncells > _SAT_MAX_SURVIVORS:
+        survivors = None
+    else:
+        survivors = _twosat.solutions(
+            _base_graph(space, n, want_responsiveness, want_anonymity),
+            _SAT_MAX_SURVIVORS + 1,
+            dual=cells.dual_idx if want_neutrality else None,
+            support=cells.support,
+            q=q,
+        )
+    if survivors is None or len(survivors) > _SAT_MAX_SURVIVORS:
         # only a call that drops axioms gets here
         raise GuardError(
             f"more than {_SAT_MAX_SURVIVORS:,} rules of the {space} space at n={n} "

@@ -42,11 +42,11 @@ from qmvote.axioms import (
     run_all_checks,
 )
 from qmvote._kernels import sweep_survivors
+from qmvote._tablecheck import run_table_checks
 from qmvote.verifier import (
     SPACE_ANONYMOUS,
     enumerate_anonymous,
     enumerate_full,
-    run_table_checks,
     survivors_anonymous,
     unqualified_quota_contradiction,
 )
@@ -219,32 +219,52 @@ def test_checker_cross_validation():
             assert neutral_tally == neutral_profile, (n, q)
 
 
+def assert_same_reports(rule, n, q):
+    """The bitset checks behind ``qmvote check`` emit the JSON of
+    run_all_checks byte for byte, witnesses included."""
+    want = json.dumps([r.to_json_dict() for r in run_all_checks(rule, n, q)], indent=2)
+    got = json.dumps([r.to_json_dict() for r in run_table_checks(rule, n, q)], indent=2)
+    assert got == want, (rule, q)
+
+
 def test_table_level_check_matches_the_profile_level_checkers():
-    """check's scan over the index tables emits the JSON of run_all_checks
-    byte for byte, witnesses included, on seeded rules up to n=6."""
+    """On seeded rules up to n=6: random full and anonymous tables, every
+    quota rule, and quota rules with a few cells flipped."""
     rng = random.Random(20261018)
-
-    def assert_same(rule, n, q):
-        want = json.dumps([r.to_json_dict() for r in run_all_checks(rule, n, q)], indent=2)
-        got = json.dumps([r.to_json_dict() for r in run_table_checks(rule, n, q)], indent=2)
-        assert got == want, (rule, q)
-
     for n in range(1, 7):
         cells = 3**n
         for _ in range(4):
             q = rng.randrange(n + 1)
-            assert_same(TableRule(n, rng.getrandbits(cells)), n, q)
-            assert_same(AnonymousTableRule(n, rng.getrandbits(num_tally_classes(n))), n, q)
+            assert_same_reports(TableRule(n, rng.getrandbits(cells)), n, q)
+            assert_same_reports(AnonymousTableRule(n, rng.getrandbits(num_tally_classes(n))), n, q)
         for q in qualified_quotas(n):
             for reform in (X, Y):
                 rule = QualifiedMajorityRule(n, q, reform)
-                assert_same(rule, n, q)
-                assert_same(rule, n, n // 2)  # an unqualified quota
+                assert_same_reports(rule, n, q)
+                assert_same_reports(rule, n, n // 2)  # an unqualified quota
                 bits = TableRule.from_rule(rule, n).bits
                 for low in (0, 2 * cells // 3):
                     # flip one to three cells anywhere, then late in canonical order
                     flips = rng.sample(range(low, cells), min(rng.randint(1, 3), cells - low))
-                    assert_same(TableRule(n, bits ^ sum(1 << k for k in flips)), n, q)
+                    assert_same_reports(TableRule(n, bits ^ sum(1 << k for k in flips)), n, q)
+
+
+def test_table_level_check_matches_on_every_full_n2_table():
+    for bits in range(512):
+        for q in range(3):
+            assert_same_reports(TableRule(2, bits), 2, q)
+
+
+def test_table_level_check_matches_on_perturbed_n7_quota_rules():
+    """As the check-axioms benchmark draws them: each qualified quota and
+    reform, with one cell flipped among the last 3^(n-3) profiles."""
+    n, cells = 7, 3**7
+    rng = random.Random(7)
+    for q in qualified_quotas(n):
+        for reform in (X, Y):
+            bits = TableRule.from_rule(QualifiedMajorityRule(n, q, reform), n).bits
+            flipped = rng.randrange(cells - 3 ** (n - 3), cells)
+            assert_same_reports(TableRule(n, bits ^ 1 << flipped), n, q)
 
 
 def test_verify_reports_identical_across_worker_counts():

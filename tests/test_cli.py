@@ -214,11 +214,14 @@ def test_check_quota_out_of_range_is_a_precondition_error():
 
 
 def test_check_refuses_large_n_before_walking_profiles():
-    # without the guard, n=13 would build 1.6 million profiles; the timeout
-    # turns a missing guard into a failure instead of a long run
-    proc = run_cli("check", "--rule", "builtin:qm:13:X", "--n", "13", "--q", "13", timeout=10)
+    # one past the cap: without the guard, n=16 would build bitsets of 43
+    # million bits; the timeout turns a missing guard into a failure
+    # instead of a long run
+    proc = run_cli("check", "--rule", "builtin:qm:16:X", "--n", "16", "--q", "16", timeout=10)
     assert proc.returncode == 3
-    assert "3^13" in proc.stderr
+    assert proc.stderr == (
+        "error: check at n=16 would walk all 3^16 = 43,046,721 profiles; the limit is n=15\n"
+    )
 
 
 def test_verify_full_n2_matches_golden():
@@ -258,7 +261,7 @@ def test_check_refuses_a_huge_n_without_printing_3_to_the_n():
     proc = run_cli("check", "--rule", "builtin:qm:2:X", "--n", "20000", "--q", "1")
     assert proc.returncode == 3
     assert proc.stderr == (
-        "error: check at n=20000 would walk all 3^20000 profiles; the limit is n=12\n"
+        "error: check at n=20000 would walk all 3^20000 profiles; the limit is n=15\n"
     )
 
 
@@ -334,11 +337,22 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     # import, and no CLI call starts threads or worker processes.
     # Each subcommand imports only the modules it runs: verify needs no
     # axioms, decide no verifier, and --help none of the library.
-    library = {"qmvote.core", "qmvote.rules", "qmvote.axioms", "qmvote.verifier", "qmvote._twosat"}
+    library = {
+        "qmvote.core",
+        "qmvote.rules",
+        "qmvote.axioms",
+        "qmvote.verifier",
+        "qmvote._twosat",
+        "qmvote._tablecheck",
+    }
     heavy = {"numpy", "concurrent.futures", "multiprocessing"}
     assert loaded_modules("import qmvote.cli", library | heavy) == set()
     verify = cli_call("verify", "--n", "5", "--all-q", "--space", "anonymous")
     assert loaded_modules(verify, {"qmvote.axioms", "qmvote.verifier"}) == {"qmvote.verifier"}
+    # check decides the axioms on the rule's bitset: no verifier, no search
+    check = cli_call("check", "--rule", "builtin:qm:3:X", "--n", "4", "--q", "3")
+    want = {"qmvote.core", "qmvote.rules", "qmvote.axioms", "qmvote._tablecheck"}
+    assert loaded_modules(check, library | heavy) == want
     path = write_ballot_file(tmp_path, ["X", "X", "TIE"])
     decide = cli_call("decide", "--ballots", str(path), "--q", "2", "--reform", "X")
     assert loaded_modules(decide, {"qmvote.core", "qmvote.verifier"}) == {"qmvote.core"}

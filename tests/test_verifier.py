@@ -210,6 +210,20 @@ def test_sat_survivor_cap():
             survivors_anonymous(n, 3, **no_axioms)
 
 
+def test_survivor_cap_refuses_without_listing_solutions(monkeypatch):
+    # with no axiom selected every rule passes, so the count is known up front
+    def fail(*args, **kwargs):
+        raise AssertionError("solutions listed before the refusal")
+
+    monkeypatch.setattr(_twosat, "solutions", fail)
+    no_axioms = dict(use_neutrality=False, use_responsiveness=False)
+    for n in (5, 8):
+        with pytest.raises(GuardError, match="more than 65,536"):
+            survivors_anonymous(n, 3, **no_axioms)
+    with pytest.raises(GuardError, match="more than 65,536"):
+        survivors_full(3, 2, use_anonymity=False, **no_axioms)
+
+
 def test_bad_quota_rejected():
     with pytest.raises(ValueError):
         enumerate_full(2, 3)
