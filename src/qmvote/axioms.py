@@ -11,11 +11,11 @@ encoding are checked by exactly the same code path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
     Alternative,
+    FrozenValue,
     Profile,
     adjacent_transpositions,
     all_profiles,
@@ -33,16 +33,17 @@ Q_NEUTRALITY = "q-neutrality"
 NEUTRALITY = "neutrality"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(FrozenValue):
     """A concrete violation: a profile, the paired profile that exposes the
     failure (permuted / neighbor / preference-reversed), and the outcome the
     axiom demanded versus the one observed."""
 
-    profile: Profile
-    counterpart: Profile
-    expected: Alternative
-    observed: Alternative
+    __slots__ = _fields = ("profile", "counterpart", "expected", "observed")
+
+    def __init__(
+        self, profile: Profile, counterpart: Profile, expected: Alternative, observed: Alternative
+    ) -> None:
+        self._set(profile, counterpart, expected, observed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,12 +54,13 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    axiom: str
-    passed: bool
-    witness: Optional[Witness] = None
-    q: Optional[int] = None
+class AxiomReport(FrozenValue):
+    __slots__ = _fields = ("axiom", "passed", "witness", "q")
+
+    def __init__(
+        self, axiom: str, passed: bool, witness: Optional[Witness] = None, q: Optional[int] = None
+    ) -> None:
+        self._set(axiom, passed, witness, q)
 
     def to_json_dict(self) -> dict:
         doc: dict = {"axiom": self.axiom}

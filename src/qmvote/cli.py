@@ -2,24 +2,25 @@
 
 All reports are single JSON documents on standard output; diagnostics go
 to standard error. Exit codes: 0 success / all checks pass, 1 an axiom or
-verification failed, 2 malformed input, 3 precondition or guard
-violation.
+verification failed, 2 malformed input or a usage error, 3 precondition or
+guard violation.
 
-Start-up is most of a call's wall time at small n, so this module
-imports only ``sys`` and click, and each subcommand imports the library
-modules it runs: ``--help`` loads none, ``decide`` and ``tally`` no
-``verifier``, ``verify`` and ``enumerate`` no ``axioms``, and ``check``
-only ``core``, ``rules``, ``axioms`` (for the report types) and
-``_tablecheck``, with no ``verifier`` and no ``_twosat``.
+Start-up is most of a call's wall time at small n, so this module imports
+only ``sys``, ``functools`` and ``argparse`` from the standard library, and
+each subcommand imports the library modules it runs: ``--help`` loads
+none, ``decide`` and ``tally`` no ``verifier``, ``verify`` and
+``enumerate`` no ``axioms``, and ``check`` only ``core``, ``rules``,
+``axioms`` (for the report types) and ``_tablecheck``, with no
+``verifier`` and no ``_twosat``.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
-import click
-
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .core import Profile
 
@@ -111,11 +112,22 @@ def ballots_text(profile: Profile) -> str:
 def _emit(doc) -> None:
     import json
 
-    click.echo(json.dumps(doc, indent=2))
+    text = json.dumps(doc, indent=2) + "\n"
+    try:
+        # one write: a reader who leaves part-way through it ends the call
+        # quietly, and one who left before it gets exit code 1
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os
+
+        # no traceback from the interpreter's final flush either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_FAILED)
 
 
 def _die(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -152,65 +164,52 @@ def _load_rule(spec: str, n: int, anonymous: bool):
         _die(EXIT_BAD_INPUT, str(exc))
 
 
-@click.group()
-def main() -> None:
-    """Qualified majority voting over two alternatives X and Y."""
-
-
-@main.command()
-@click.option("--ballots", "ballots_path", required=True, help="CSV ballot file.")
-@click.option("--q", "quota", required=True, type=int, help="Strict supporters the reform needs.")
-@click.option("--reform", required=True, type=click.Choice(["X", "Y"], case_sensitive=False))
-def decide(ballots_path: str, quota: int, reform: str) -> None:
+def decide(args) -> int:
     """Decide a ballot file under a qualified majority rule."""
     from .core import Alternative, is_qualified, tally
     from .rules import QualifiedMajorityRule
 
     try:
-        profile = read_ballots(ballots_path)
+        profile = read_ballots(args.ballots)
     except (OSError, BallotError) as exc:
         _die(EXIT_BAD_INPUT, str(exc))
     n = profile.n
-    if not is_qualified(quota, n):
+    if not is_qualified(args.q, n):
         _die(
             EXIT_GUARD,
-            f"quota {quota} is not qualified for {n} voters: need 0 <= q <= n and q > n/2",
+            f"quota {args.q} is not qualified for {n} voters: need 0 <= q <= n and q > n/2",
         )
-    alt = Alternative(reform.upper())
-    rule = QualifiedMajorityRule(n, quota, alt)
+    alt = Alternative(args.reform)
+    rule = QualifiedMajorityRule(n, args.q, alt)
     t = tally(profile)
     _emit(
         {
             "n": n,
             "tally": {"x": t.n_x, "y": t.n_y, "indifferent": t.n_ind},
-            "q": quota,
+            "q": args.q,
             "reform": alt.value,
             "winner": rule.evaluate(profile).value,
         }
     )
+    return EXIT_OK
 
 
-@main.command("tally")
-@click.option("--ballots", "ballots_path", required=True, help="CSV ballot file.")
-def tally_cmd(ballots_path: str) -> None:
+def tally_cmd(args) -> int:
     """Tally a ballot file without deciding it."""
     from .core import tally
 
     try:
-        profile = read_ballots(ballots_path)
+        profile = read_ballots(args.ballots)
     except (OSError, BallotError) as exc:
         _die(EXIT_BAD_INPUT, str(exc))
     t = tally(profile)
     _emit({"n": profile.n, "tally": {"x": t.n_x, "y": t.n_y, "indifferent": t.n_ind}})
+    return EXIT_OK
 
 
-@main.command()
-@click.option("--rule", "rule_spec", required=True, help="Table file path or builtin:qm:Q:{X,Y}.")
-@click.option("--n", "n", required=True, type=int, help="Number of voters.")
-@click.option("--q", "quota", required=True, type=int, help="Quota for the q-neutrality check.")
-@click.option("--anonymous", is_flag=True, help="Read the file as an anonymous tally table.")
-def check(rule_spec: str, n: int, quota: int, anonymous: bool) -> None:
+def check(args) -> int:
     """Check a rule for anonymity, responsiveness and q-neutrality."""
+    n, quota = args.n, args.q
     if n < 1:
         _die(EXIT_GUARD, "need at least one voter")
     if n > _CHECK_MAX_N:
@@ -219,14 +218,14 @@ def check(rule_spec: str, n: int, quota: int, anonymous: bool) -> None:
             EXIT_GUARD,
             f"check at n={n} would walk all 3^{n}{count} profiles; the limit is n={_CHECK_MAX_N}",
         )
-    rule = _load_rule(rule_spec, n, anonymous)
+    rule = _load_rule(args.rule, n, args.anonymous)
     if not 0 <= quota <= n:
         _die(EXIT_GUARD, f"quota must lie in 0..{n}, got {quota}")
     from ._tablecheck import run_table_checks
 
     reports = run_table_checks(rule, n, quota)
     _emit([r.to_json_dict() for r in reports])
-    sys.exit(EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
 
 
 def _run_enumerations(n, quotas, space):
@@ -242,56 +241,143 @@ def _run_enumerations(n, quotas, space):
     return results
 
 
-@main.command()
-@click.option("--n", "n", required=True, type=int, help="Number of voters.")
-@click.option("--q", "quota", type=int, default=None, help="Single quota to verify.")
-@click.option("--all-q", "all_q", is_flag=True, help="Verify every quota 0..n.")
-@click.option(
-    "--space",
-    type=click.Choice([SPACE_FULL, SPACE_ANONYMOUS]),
-    default=SPACE_FULL,
-    show_default=True,
-)
-@click.option("--no-timing", "no_timing", is_flag=True, help="Omit elapsed_ms from reports.")
-def verify(n, quota, all_q, space, no_timing) -> None:
+def verify(args) -> int:
     """Enumerate a rule space and compare survivors against the quota rules."""
     from .verifier import GuardError, _guard_voters
 
-    if (quota is None) and not all_q:
+    n = args.n
+    if (args.q is None) and not args.all_q:
         _die(EXIT_BAD_INPUT, "provide --q or --all-q")
-    if (quota is not None) and all_q:
+    if (args.q is not None) and args.all_q:
         _die(EXIT_BAD_INPUT, "--q and --all-q are mutually exclusive")
     try:
         _guard_voters(n)
     except GuardError as exc:
         _die(EXIT_GUARD, str(exc))
-    quotas = range(n + 1) if all_q else [quota]
-    results = _run_enumerations(n, quotas, space)
-    _emit([r.to_json_dict(include_timing=not no_timing) for r in results])
-    sys.exit(EXIT_OK if all(r.matches_theorem for r in results) else EXIT_FAILED)
+    quotas = range(n + 1) if args.all_q else [args.q]
+    results = _run_enumerations(n, quotas, args.space)
+    _emit([r.to_json_dict(include_timing=not args.no_timing) for r in results])
+    return EXIT_OK if all(r.matches_theorem for r in results) else EXIT_FAILED
 
 
-@main.command("enumerate")
-@click.option("--n", "n", required=True, type=int, help="Number of voters.")
-@click.option("--q", "quota", required=True, type=int, help="Quota to enumerate at.")
-@click.option(
-    "--space",
-    type=click.Choice([SPACE_FULL, SPACE_ANONYMOUS]),
-    default=SPACE_FULL,
-    show_default=True,
-)
-@click.option("--no-timing", "no_timing", is_flag=True, help="Omit elapsed_ms from the report.")
-def enumerate_cmd(n, quota, space, no_timing) -> None:
+def enumerate_cmd(args) -> int:
     """Like verify for one quota, but include each survivor's full table."""
     from .verifier import decode_rule
 
-    result = _run_enumerations(n, [quota], space)[0]
-    doc = result.to_json_dict(include_timing=not no_timing)
+    result = _run_enumerations(args.n, [args.q], args.space)[0]
+    doc = result.to_json_dict(include_timing=not args.no_timing)
     for entry in doc["survivors"]:
-        entry["table"] = decode_rule(space, n, entry["encoding"]).to_line()
+        entry["table"] = decode_rule(args.space, args.n, entry["encoding"]).to_line()
     _emit(doc)
-    sys.exit(EXIT_OK if result.matches_theorem else EXIT_FAILED)
+    return EXIT_OK if result.matches_theorem else EXIT_FAILED
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help layout under a ``Usage:`` heading."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+# built once per process: building it costs more than a small call computes
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand. Only ``--help`` prints help (there
+    is no ``-h``), no option may be abbreviated, and usage errors exit 2."""
+    style = dict(formatter_class=_HelpFormatter, add_help=False, allow_abbrev=False)
+
+    def with_help(parser):
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+        return parser
+
+    parser = with_help(
+        argparse.ArgumentParser(
+            prog="qmvote",
+            description="Qualified majority voting over two alternatives X and Y.",
+            **style,
+        )
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(run, name):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, **style)
+        sub.set_defaults(run=run)
+        return with_help(sub)
+
+    spaces = (SPACE_FULL, SPACE_ANONYMOUS)
+    space_help = f"Rule space. [default: {SPACE_FULL}]"
+
+    sub = command(decide, "decide")
+    sub.add_argument("--ballots", required=True, help="CSV ballot file.")
+    sub.add_argument("--q", type=int, required=True, help="Strict supporters the reform needs.")
+    sub.add_argument(
+        "--reform", type=str.upper, choices=("X", "Y"), required=True, help="X or Y, either case."
+    )
+
+    sub = command(tally_cmd, "tally")
+    sub.add_argument("--ballots", required=True, help="CSV ballot file.")
+
+    sub = command(check, "check")
+    sub.add_argument("--rule", required=True, help="Table file path or builtin:qm:Q:{X,Y}.")
+    sub.add_argument("--n", type=int, required=True, help="Number of voters.")
+    sub.add_argument("--q", type=int, required=True, help="Quota for the q-neutrality check.")
+    sub.add_argument(
+        "--anonymous", action="store_true", help="Read the file as an anonymous tally table."
+    )
+
+    sub = command(verify, "verify")
+    sub.add_argument("--n", type=int, required=True, help="Number of voters.")
+    sub.add_argument("--q", type=int, help="Single quota to verify.")
+    sub.add_argument("--all-q", action="store_true", help="Verify every quota 0..n.")
+    sub.add_argument("--space", choices=spaces, default=SPACE_FULL, help=space_help)
+    sub.add_argument("--no-timing", action="store_true", help="Omit elapsed_ms from reports.")
+
+    sub = command(enumerate_cmd, "enumerate")
+    sub.add_argument("--n", type=int, required=True, help="Number of voters.")
+    sub.add_argument("--q", type=int, required=True, help="Quota to enumerate at.")
+    sub.add_argument("--space", choices=spaces, default=SPACE_FULL, help=space_help)
+    sub.add_argument("--no-timing", action="store_true", help="Omit elapsed_ms from the report.")
+    return parser
+
+
+# Options that take a value. Such an option reads the next word whatever
+# it looks like (``--rule -r.rule``); argparse alone would read a word that
+# starts with "-" as an option.
+_VALUE_OPTIONS = frozenset({"--ballots", "--n", "--q", "--reform", "--rule", "--space"})
+
+
+def _words(argv: list[str]) -> list[str]:
+    """``argv`` with each value option joined to its value, and a closing
+    "--" dropped: "--" ends the options, and no subcommand takes arguments."""
+    words: list[str] = []
+    rest = iter(argv)
+    for word in rest:
+        if word == "--":
+            after = list(rest)
+            return words + ["--", *after] if after else words
+        value = next(rest, None) if word in _VALUE_OPTIONS else None
+        words.append(word if value is None else f"{word}={value}")
+    return words
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one ``qmvote`` call on ``argv`` (default ``sys.argv[1:]``) and
+    return its exit code. Usage errors and ``_die`` raise ``SystemExit``."""
+    args = _parser().parse_args(_words(sys.argv[1:] if argv is None else list(argv)))
+    return args.run(args)
+
+
+def _click_style_main(args=(), prog_name=None, **extra):
+    sys.exit(main(list(args)))
+
+
+# perfbench/tracing.py drives the CLI in-process through
+# click.testing.CliRunner, which reads these two attributes of the command
+# it invokes. Remove them once the benchmark calls main(argv) itself
+# (ROADMAP item 1).
+main.name = "qmvote"
+main.main = _click_style_main
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

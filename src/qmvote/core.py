@@ -20,10 +20,54 @@ package breaks ties by this index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, Sequence
+
+
+class FrozenValue:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``_fields``, in constructor order, and
+    sets each once in ``__init__`` through ``_set``. Instances compare and
+    hash by their field values and their exact class, refuse attribute
+    assignment, and repr as ``Class(field=value, ...)``: the semantics of
+    a frozen dataclass, without the start-up cost of ``dataclasses``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class Alternative(Enum):
@@ -75,24 +119,24 @@ def strict_preference_for(alternative: Alternative) -> Preference:
     return Preference.STRICT_X if alternative is Alternative.X else Preference.STRICT_Y
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(FrozenValue):
     """An ordered tuple of voter preferences; a value type.
 
     Voter indices are 0-based internally; profile strings render voter 0
     as the leftmost character (e.g. ``"XYI"``).
     """
 
-    voters: tuple[Preference, ...]
+    __slots__ = ("voters", "_index")
+    _fields = ("voters",)
 
-    def __post_init__(self) -> None:
-        voters = tuple(Preference(v) for v in self.voters)
+    def __init__(self, voters: Sequence[Preference]) -> None:
+        voters = tuple(Preference(v) for v in voters)
         if not voters:
             raise ValueError("a profile needs at least one voter")
         index = 0
         for digit in reversed(voters):
             index = index * 3 + int(digit)
-        object.__setattr__(self, "voters", voters)
+        self._set(voters)
         object.__setattr__(self, "_index", index)
 
     @property
@@ -102,7 +146,7 @@ class Profile:
     @property
     def index(self) -> int:
         """Canonical base-3 index of this profile (voter 0 least significant)."""
-        return self._index  # type: ignore[attr-defined]
+        return self._index
 
     def __len__(self) -> int:
         return len(self.voters)
@@ -145,13 +189,13 @@ class Profile:
         )
 
 
-@dataclass(frozen=True)
-class Tally:
+class Tally(FrozenValue):
     """Anonymous summary of a profile: strict counts for each side plus indifferents."""
 
-    n_x: int
-    n_y: int
-    n_ind: int
+    __slots__ = _fields = ("n_x", "n_y", "n_ind")
+
+    def __init__(self, n_x: int, n_y: int, n_ind: int) -> None:
+        self._set(n_x, n_y, n_ind)
 
     @property
     def n(self) -> int:

@@ -11,12 +11,12 @@ its enumeration index and sweeping a rule space is a plain integer range.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from .core import (
     Alternative,
+    FrozenValue,
     Profile,
     all_profiles,
     is_qualified,
@@ -83,8 +83,7 @@ def _line_bits(line: str, width: int, table: str) -> int:
     return int(text[::-1].translate(_XY_TO_DIGITS) or "0", 2)
 
 
-@dataclass(frozen=True)
-class QualifiedMajorityRule:
+class QualifiedMajorityRule(FrozenValue):
     """The reform wins exactly when its strict supporters reach the quota.
 
     The quota must be qualified (2q > n); with only two alternatives the
@@ -92,17 +91,14 @@ class QualifiedMajorityRule:
     total even though the definition only pins down the reform branch.
     """
 
-    n: int
-    q: int
-    reform: Alternative
+    __slots__ = _fields = ("n", "q", "reform")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, q: int, reform: Alternative) -> None:
+        if n < 1:
             raise ValueError("rule needs at least one voter")
-        if not is_qualified(self.q, self.n):
-            raise ValueError(
-                f"quota {self.q} is not qualified for n={self.n}: need 0 <= q <= n and 2q > n"
-            )
+        if not is_qualified(q, n):
+            raise ValueError(f"quota {q} is not qualified for n={n}: need 0 <= q <= n and 2q > n")
+        self._set(n, q, reform)
 
     def evaluate(self, profile: Profile) -> Alternative:
         if profile.n != self.n:
@@ -115,8 +111,7 @@ class QualifiedMajorityRule:
         return f"sigma_{self.q}^{self.reform.value}"
 
 
-@dataclass(frozen=True)
-class TableRule:
+class TableRule(FrozenValue):
     """A voting rule given extensionally: one output bit per profile.
 
     Bit p of ``bits`` is the output on the profile with canonical index p
@@ -124,14 +119,14 @@ class TableRule:
     {X, Y}, character position = profile index.
     """
 
-    n: int
-    bits: int
+    __slots__ = _fields = ("n", "bits")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, bits: int) -> None:
+        if n < 1:
             raise ValueError("rule needs at least one voter")
-        if self.bits < 0 or self.bits >> (3**self.n):
-            raise ValueError(f"bits out of range for n={self.n}")
+        if bits < 0 or bits >> (3**n):
+            raise ValueError(f"bits out of range for n={n}")
+        self._set(n, bits)
 
     def evaluate(self, profile: Profile) -> Alternative:
         if profile.n != self.n:
@@ -155,8 +150,7 @@ class TableRule:
         return cls(n, bits)
 
 
-@dataclass(frozen=True)
-class AnonymousTableRule:
+class AnonymousTableRule(FrozenValue):
     """An anonymous rule given extensionally: one output bit per tally class.
 
     Anonymity holds by construction, since evaluation factors through the
@@ -164,14 +158,14 @@ class AnonymousTableRule:
     lexicographic class order.
     """
 
-    n: int
-    bits: int
+    __slots__ = _fields = ("n", "bits")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, bits: int) -> None:
+        if n < 1:
             raise ValueError("rule needs at least one voter")
-        if self.bits < 0 or self.bits >> num_tally_classes(self.n):
-            raise ValueError(f"bits out of range for n={self.n}")
+        if bits < 0 or bits >> num_tally_classes(n):
+            raise ValueError(f"bits out of range for n={n}")
+        self._set(n, bits)
 
     def evaluate(self, profile: Profile) -> Alternative:
         if profile.n != self.n:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -44,6 +43,7 @@ from .core import (
     _TOWARD_X,
     _TOWARD_Y,
     Alternative,
+    FrozenValue,
     Preference,
     Profile,
     dual,
@@ -334,24 +334,32 @@ def survivors_anonymous(
     return survivors
 
 
-@dataclass(frozen=True)
-class SurvivorInfo:
-    encoding: int
-    pretty: str
+class SurvivorInfo(FrozenValue):
+    __slots__ = _fields = ("encoding", "pretty")
+
+    def __init__(self, encoding: int, pretty: str) -> None:
+        self._set(encoding, pretty)
 
     def to_json_dict(self) -> dict:
         return {"encoding": self.encoding, "pretty": self.pretty}
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    n: int
-    q: int
-    space: str
-    rules_examined: int
-    survivors: tuple[SurvivorInfo, ...]
-    matches_theorem: bool
-    elapsed_ms: float
+class VerificationResult(FrozenValue):
+    __slots__ = _fields = (
+        "n", "q", "space", "rules_examined", "survivors", "matches_theorem", "elapsed_ms"
+    )
+
+    def __init__(
+        self,
+        n: int,
+        q: int,
+        space: str,
+        rules_examined: int,
+        survivors: tuple[SurvivorInfo, ...],
+        matches_theorem: bool,
+        elapsed_ms: float,
+    ) -> None:
+        self._set(n, q, space, rules_examined, survivors, matches_theorem, elapsed_ms)
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         doc: dict = {
@@ -465,8 +473,7 @@ def merge_profile(first: Profile, second: Profile, winner: Alternative) -> Profi
     return Profile(voters)
 
 
-@dataclass(frozen=True)
-class ContradictionWitness:
+class ContradictionWitness(FrozenValue):
     """The balanced-profile construction showing no rule can be both
     anonymous and q-neutral when the quota is not qualified.
 
@@ -477,13 +484,35 @@ class ContradictionWitness:
     violates exactly one of the two demands here.
     """
 
-    profile: Profile
-    dual_profile: Profile
-    permutation: tuple[int, ...]
-    anonymity_requires: Alternative
-    neutrality_requires: Alternative
-    observed: Alternative
-    violated_axiom: str
+    __slots__ = _fields = (
+        "profile",
+        "dual_profile",
+        "permutation",
+        "anonymity_requires",
+        "neutrality_requires",
+        "observed",
+        "violated_axiom",
+    )
+
+    def __init__(
+        self,
+        profile: Profile,
+        dual_profile: Profile,
+        permutation: tuple[int, ...],
+        anonymity_requires: Alternative,
+        neutrality_requires: Alternative,
+        observed: Alternative,
+        violated_axiom: str,
+    ) -> None:
+        self._set(
+            profile,
+            dual_profile,
+            permutation,
+            anonymity_requires,
+            neutrality_requires,
+            observed,
+            violated_axiom,
+        )
 
 
 def unqualified_quota_contradiction(rule, n: int, q: int) -> ContradictionWitness:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import qmvote
 from qmvote.core import Profile
 from qmvote.cli import ballots_text, read_ballots_text
 
@@ -307,7 +309,7 @@ def test_enumerate_guard_violation():
     # no option lifts the cap; the former --long-run is a usage error
     proc = run_cli(*args, "--long-run")
     assert proc.returncode == 2
-    assert "No such option" in proc.stderr and "--long-run" in proc.stderr
+    assert "unrecognized arguments: --long-run" in proc.stderr
 
 
 def loaded_modules(call, modules):
@@ -345,17 +347,20 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
         "qmvote._twosat",
         "qmvote._tablecheck",
     }
-    heavy = {"numpy", "concurrent.futures", "multiprocessing"}
+    # click, dataclasses and inspect cost more start-up than most calls
+    # compute, so no call loads them either
+    heavy = {"numpy", "concurrent.futures", "multiprocessing", "click", "dataclasses", "inspect"}
     assert loaded_modules("import qmvote.cli", library | heavy) == set()
     verify = cli_call("verify", "--n", "5", "--all-q", "--space", "anonymous")
-    assert loaded_modules(verify, {"qmvote.axioms", "qmvote.verifier"}) == {"qmvote.verifier"}
+    want = {"qmvote.core", "qmvote.rules", "qmvote.verifier", "qmvote._twosat"}
+    assert loaded_modules(verify, library | heavy) == want
     # check decides the axioms on the rule's bitset: no verifier, no search
     check = cli_call("check", "--rule", "builtin:qm:3:X", "--n", "4", "--q", "3")
     want = {"qmvote.core", "qmvote.rules", "qmvote.axioms", "qmvote._tablecheck"}
     assert loaded_modules(check, library | heavy) == want
     path = write_ballot_file(tmp_path, ["X", "X", "TIE"])
     decide = cli_call("decide", "--ballots", str(path), "--q", "2", "--reform", "X")
-    assert loaded_modules(decide, {"qmvote.core", "qmvote.verifier"}) == {"qmvote.core"}
+    assert loaded_modules(decide, library | heavy) == {"qmvote.core", "qmvote.rules"}
 
 
 def test_cli_space_names_are_the_verifier_spaces():
@@ -365,11 +370,79 @@ def test_cli_space_names_are_the_verifier_spaces():
     assert (cli.SPACE_FULL, cli.SPACE_ANONYMOUS) == (verifier.SPACE_FULL, verifier.SPACE_ANONYMOUS)
 
 
+SUBCOMMANDS = ("decide", "tally", "check", "verify", "enumerate")
+
+
 def test_help_lists_all_subcommands():
     proc = run_cli("--help")
     assert proc.returncode == 0
-    for name in ("decide", "tally", "check", "verify", "enumerate"):
+    assert proc.stdout.startswith("Usage:")
+    for name in SUBCOMMANDS:
         assert name in proc.stdout
+        sub = run_cli(name, "--help")
+        assert sub.returncode == 0, name
+        assert sub.stdout.startswith(f"Usage: qmvote {name} "), name
+    # only the long form asks for help; -h is a usage error
+    assert run_cli("-h").returncode == 2
+    assert run_cli("verify", "-h").returncode == 2
+
+
+def test_options_are_not_abbreviated():
+    proc = run_cli("verify", "--n", "2", "--all", "--no-timing")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+def test_option_values_may_start_with_a_dash(tmp_path):
+    # a value option takes the next word whatever it looks like, and a
+    # closing "--" ends the options
+    (tmp_path / "-r.rule").write_text("XYYYYYYYY\n")
+    args = ("check", "--rule", "-r.rule", "--n", "2", "--q", "2")
+    want = run_cli("check", "--rule", str(tmp_path / "-r.rule"), "--n", "2", "--q", "2")
+    assert want.returncode == 0, want.stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(qmvote.__file__).parents[1]))
+    for argv in (args, args + ("--",)):
+        proc = run_cli(*argv, cwd=tmp_path, env=env)
+        assert (proc.returncode, proc.stdout) == (0, want.stdout), argv
+    assert run_cli(*args, "--", "--anonymous", cwd=tmp_path, env=env).returncode == 2
+
+
+BIG_REPORT = ("-m", "qmvote", "verify", "--n", "100", "--all-q", "--space", "anonymous")
+
+
+def test_reader_closing_stdout_early_gets_no_traceback():
+    # the report is far larger than a pipe's buffer, so the call is still
+    # writing it when the reader leaves after 10 bytes
+    proc = subprocess.Popen(
+        [sys.executable, *BIG_REPORT], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    head = os.read(proc.stdout.fileno(), 10)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (0, b"")
+    assert head == b"[\n  {\n    "
+    # a reader gone before the report begins gives exit code 1, quietly
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen([sys.executable, *BIG_REPORT], stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    os.close(read_end)
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (1, b"")
+
+
+def test_click_runner_drives_main():
+    # perfbench/tracing.py invokes the CLI through click's CliRunner
+    testing = pytest.importorskip("click.testing")
+    from qmvote import cli
+
+    args = ["verify", "--n", "2", "--all-q", "--no-timing"]
+    result = testing.CliRunner().invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (GOLDEN / "verify_n2_full.json").read_text()
+    failing = ["check", "--rule", "builtin:qm:2:X", "--n", "3", "--q", "0"]
+    assert testing.CliRunner().invoke(cli.main, failing).exit_code == 1
 
 
 def test_console_script_entry_point(tmp_path):

@@ -610,13 +610,10 @@ def test_sat_theorem_full_n8_under_the_plain_cap():
 
 
 def test_all_q_builds_the_base_graph_once():
-    from click.testing import CliRunner
-
     from qmvote.cli import main
 
     _base_graph.cache_clear()
-    result = CliRunner().invoke(main, ["verify", "--n", "30", "--all-q", "--space", "anonymous"])
-    assert result.exit_code == 0, result.output
+    assert main(["verify", "--n", "30", "--all-q", "--space", "anonymous"]) == 0
     info = _base_graph.cache_info()
     assert (info.misses, info.hits) == (1, 30)
     # bounded: more spaces than slots evict the oldest graphs
