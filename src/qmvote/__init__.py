@@ -47,17 +47,19 @@ _EXPORTS = {
     ),
     "axioms": (
         "AxiomReport",
+        "ContradictionWitness",
         "Witness",
         "check_anonymity",
         "check_anonymity_all_permutations",
         "check_neutrality",
         "check_q_neutrality",
         "check_responsiveness",
+        "merge_profile",
         "replay_witness",
         "run_all_checks",
+        "unqualified_quota_contradiction",
     ),
     "verifier": (
-        "ContradictionWitness",
         "GuardError",
         "SPACE_ANONYMOUS",
         "SPACE_FULL",
@@ -65,10 +67,8 @@ _EXPORTS = {
         "VerificationResult",
         "enumerate_anonymous",
         "enumerate_full",
-        "merge_profile",
         "survivors_anonymous",
         "survivors_full",
-        "unqualified_quota_contradiction",
         "verify_characterization",
     ),
 }

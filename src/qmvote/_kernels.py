@@ -8,6 +8,12 @@ chunks; within a chunk the checks run as whole-array masks
 (preference-reversal pairing, then single-voter moves, then adjacent
 transpositions).
 
+Responsiveness is tested on the moves toward X alone. Moving voter i
+from profile p toward X gives t exactly when moving voter i from t
+toward Y gives p back, so a rule breaks the Y-ward instance (Y wins at
+t, X at p) exactly when it breaks the X-ward one from p. Testing each
+X-ward pair once therefore finds every responsiveness violation.
+
 The verifier decides every call with its 2-SAT search and never imports
 this module: ``sweep_survivors`` is only the oracle the tests compare
 that search with. It runs in one thread and has no size guard, so its
@@ -32,8 +38,6 @@ def scan_rules(
     dual_idx,
     resp_x_indptr,
     resp_x_targets,
-    resp_y_indptr,
-    resp_y_targets,
     trans,
     want_neutrality: bool = True,
     want_responsiveness: bool = True,
@@ -45,7 +49,6 @@ def scan_rules(
     """
     dual_idx = np.asarray(dual_idx, dtype=np.int64)
     resp_x_targets = np.asarray(resp_x_targets, dtype=np.int64)
-    resp_y_targets = np.asarray(resp_y_targets, dtype=np.int64)
     trans = np.asarray(trans, dtype=np.int64)
     ncells = dual_idx.shape[0]
     certain = np.asarray(in_rq, dtype=bool)
@@ -65,8 +68,6 @@ def scan_rules(
                 x_here = bits[:, k] == 0
                 for j in range(resp_x_indptr[k], resp_x_indptr[k + 1]):
                     keep &= ~(x_here & (bits[:, resp_x_targets[j]] == 1))
-                for j in range(resp_y_indptr[k], resp_y_indptr[k + 1]):
-                    keep &= ~(~x_here & (bits[:, resp_y_targets[j]] == 0))
         if want_anonymity:
             for i in range(trans.shape[0]):
                 keep &= (bits == bits[:, trans[i]]).all(axis=1)
@@ -91,8 +92,6 @@ def sweep_survivors(space: str, n: int, q: int, **checks: bool) -> list[int]:
         cells.dual_idx,
         cells.resp_x_indptr,
         cells.resp_x_targets,
-        cells.resp_y_indptr,
-        cells.resp_y_targets,
         cells.trans,
         **checks,
     )

@@ -30,14 +30,18 @@ voter, two shifts and two ORs per class and voter. The reports,
 witnesses included, are those of ``axioms.run_all_checks``, which stays
 this module's oracle in the tests. No profile is evaluated, no index
 table is built and no big int is divided.
+
+The report types, ``AxiomReport`` and ``Witness``, and the axiom names
+are defined here, where every ``check`` builds them; ``axioms`` imports
+them from this module, so a ``check`` call loads no profile-level
+checker.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .axioms import ANONYMITY, Q_NEUTRALITY, RESPONSIVENESS, AxiomReport, Witness
-from .core import _TOWARD_X, _TOWARD_Y, Alternative, Profile, dual
+from .core import _TOWARD_X, _TOWARD_Y, Alternative, FrozenValue, Profile, dual
 from .rules import (
     AnonymousTableRule,
     QualifiedMajorityRule,
@@ -45,6 +49,50 @@ from .rules import (
     tally_class_index,
     tally_classes,
 )
+
+ANONYMITY = "anonymity"
+RESPONSIVENESS = "responsiveness"
+Q_NEUTRALITY = "q-neutrality"
+
+
+class Witness(FrozenValue):
+    """A concrete violation: a profile, the paired profile that exposes the
+    failure (permuted / neighbor / preference-reversed), and the outcome the
+    axiom demanded versus the one observed."""
+
+    __slots__ = _fields = ("profile", "counterpart", "expected", "observed")
+
+    def __init__(
+        self, profile: Profile, counterpart: Profile, expected: Alternative, observed: Alternative
+    ) -> None:
+        self._set(profile, counterpart, expected, observed)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "profile": self.profile.to_string(),
+            "counterpart": self.counterpart.to_string(),
+            "expected": self.expected.value,
+            "observed": self.observed.value,
+        }
+
+
+class AxiomReport(FrozenValue):
+    __slots__ = _fields = ("axiom", "passed", "witness", "q")
+
+    def __init__(
+        self, axiom: str, passed: bool, witness: Optional[Witness] = None, q: Optional[int] = None
+    ) -> None:
+        self._set(axiom, passed, witness, q)
+
+    def to_json_dict(self) -> dict:
+        doc: dict = {"axiom": self.axiom}
+        if self.q is not None:
+            doc["q"] = self.q
+        doc["passed"] = self.passed
+        if self.witness is not None:
+            doc["witness"] = self.witness.to_json_dict()
+        return doc
+
 
 _WINNER = (Alternative.X, Alternative.Y)
 

@@ -37,7 +37,7 @@ def implications(cells, *, responsiveness: bool, anonymity: bool) -> list[list[i
         if responsiveness:
             # bit k = 0 => bit t = 0 for each X-ward t; the contrapositive
             # bit t = 1 => bit k = 1 is the Y-ward move from t back to k,
-            # so the Y-ward table adds no further clause
+            # so the X-ward moves give every responsiveness clause
             for j in range(cells.resp_x_indptr[k], cells.resp_x_indptr[k + 1]):
                 imply(2 * k, 2 * cells.resp_x_targets[j])
         if anonymity:

@@ -6,16 +6,26 @@ profiles by canonical index, then permutations by transposition index,
 then neighbors in the canonical neighbor order. Checkers see rules only
 through the evaluation interface, so a parametric rule and its table
 encoding are checked by exactly the same code path.
+
+These profile-level checkers are the independent oracle for small n:
+``qmvote check`` decides the same reports on bitsets in ``_tablecheck``,
+where the report types and axiom names are defined, and ``verify``
+searches cell tables in ``verifier``; the tests compare both with this
+module. The balanced-profile argument of the paper's extension of May
+(1952), that no rule is both anonymous and q-neutral when 2q <= n, sits
+here too (``unqualified_quota_contradiction``), next to the axioms it is
+about.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
+from ._tablecheck import ANONYMITY, Q_NEUTRALITY, RESPONSIVENESS, AxiomReport, Witness
 from .core import (
     Alternative,
     FrozenValue,
+    Preference,
     Profile,
     adjacent_transpositions,
     all_profiles,
@@ -23,53 +33,12 @@ from .core import (
     meets_quota,
     permute,
     responsive_neighbors,
+    strict_preference_for,
     tally,
 )
 from .rules import evaluator
 
-ANONYMITY = "anonymity"
-RESPONSIVENESS = "responsiveness"
-Q_NEUTRALITY = "q-neutrality"
 NEUTRALITY = "neutrality"
-
-
-class Witness(FrozenValue):
-    """A concrete violation: a profile, the paired profile that exposes the
-    failure (permuted / neighbor / preference-reversed), and the outcome the
-    axiom demanded versus the one observed."""
-
-    __slots__ = _fields = ("profile", "counterpart", "expected", "observed")
-
-    def __init__(
-        self, profile: Profile, counterpart: Profile, expected: Alternative, observed: Alternative
-    ) -> None:
-        self._set(profile, counterpart, expected, observed)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "profile": self.profile.to_string(),
-            "counterpart": self.counterpart.to_string(),
-            "expected": self.expected.value,
-            "observed": self.observed.value,
-        }
-
-
-class AxiomReport(FrozenValue):
-    __slots__ = _fields = ("axiom", "passed", "witness", "q")
-
-    def __init__(
-        self, axiom: str, passed: bool, witness: Optional[Witness] = None, q: Optional[int] = None
-    ) -> None:
-        self._set(axiom, passed, witness, q)
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {"axiom": self.axiom}
-        if self.q is not None:
-            doc["q"] = self.q
-        doc["passed"] = self.passed
-        if self.witness is not None:
-            doc["witness"] = self.witness.to_json_dict()
-        return doc
 
 
 def check_anonymity(rule, n: int) -> AxiomReport:
@@ -204,3 +173,94 @@ def replay_witness(report: AxiomReport, rule, n: int) -> bool:
     if report.axiom == NEUTRALITY:
         return w.counterpart == dual(w.profile) and ev(w.profile).other is w.expected
     return False
+
+
+def merge_profile(first: Profile, second: Profile, winner: Alternative) -> Profile:
+    """Combine two profiles into the canonical profile whose winner support
+    is the max of the two and whose loser support is the min.
+
+    Remaining voters are indifferent; layout is winner supporters first,
+    then loser supporters, then indifferents.
+    """
+    if first.n != second.n:
+        raise ValueError("profiles must have the same number of voters")
+    n = first.n
+    loser = winner.other
+    win_count = max(tally(first).count_for(winner), tally(second).count_for(winner))
+    lose_count = min(tally(first).count_for(loser), tally(second).count_for(loser))
+    voters = (
+        (strict_preference_for(winner),) * win_count
+        + (strict_preference_for(loser),) * lose_count
+        + (Preference.INDIFFERENT,) * (n - win_count - lose_count)
+    )
+    return Profile(voters)
+
+
+class ContradictionWitness(FrozenValue):
+    """The balanced-profile construction showing no rule can be both
+    anonymous and q-neutral when the quota is not qualified.
+
+    On a profile with exactly q strict supporters per side, the reversed
+    profile is a rearrangement of the original, so anonymity demands the
+    winner stay put, while the profile sits inside the high-certainty
+    region, so q-neutrality demands the winner swap. Any concrete rule
+    violates exactly one of the two demands here.
+    """
+
+    __slots__ = _fields = (
+        "profile",
+        "dual_profile",
+        "permutation",
+        "anonymity_requires",
+        "neutrality_requires",
+        "observed",
+        "violated_axiom",
+    )
+
+    def __init__(
+        self,
+        profile: Profile,
+        dual_profile: Profile,
+        permutation: tuple[int, ...],
+        anonymity_requires: Alternative,
+        neutrality_requires: Alternative,
+        observed: Alternative,
+        violated_axiom: str,
+    ) -> None:
+        self._set(
+            profile,
+            dual_profile,
+            permutation,
+            anonymity_requires,
+            neutrality_requires,
+            observed,
+            violated_axiom,
+        )
+
+
+def unqualified_quota_contradiction(rule, n: int, q: int) -> ContradictionWitness:
+    """Build the balanced profile for an unqualified quota and report which of
+    the two conflicting requirements the given rule breaks on it."""
+    if n < 2:
+        raise ValueError("the construction needs at least two voters")
+    if not (0 <= q and 2 * q <= n):
+        raise ValueError(
+            f"not applicable: quota {q} is qualified for n={n} (needs 2q <= n)"
+        )
+    profile = Profile.from_counts(q, q, n - 2 * q)
+    mirrored = dual(profile)
+    perm = tuple(range(q, 2 * q)) + tuple(range(q)) + tuple(range(2 * q, n))
+    assert permute(profile, perm) == mirrored
+    ev = evaluator(rule)
+    value = ev(profile)
+    observed = ev(mirrored)
+    violated = "q-neutrality" if observed is value else "anonymity"
+    return ContradictionWitness(
+        profile=profile,
+        dual_profile=mirrored,
+        permutation=perm,
+        anonymity_requires=value,
+        neutrality_requires=value.other,
+        observed=observed,
+        violated_axiom=violated,
+    )

@@ -9,9 +9,9 @@ Start-up is most of a call's wall time at small n, so this module imports
 only ``sys``, ``functools`` and ``argparse`` from the standard library, and
 each subcommand imports the library modules it runs: ``--help`` loads
 none, ``decide`` and ``tally`` no ``verifier``, ``verify`` and
-``enumerate`` no ``axioms``, and ``check`` only ``core``, ``rules``,
-``axioms`` (for the report types) and ``_tablecheck``, with no
-``verifier`` and no ``_twosat``.
+``enumerate`` no ``axioms``, and ``check`` only ``core``, ``rules`` and
+``_tablecheck``, which defines the report types itself, with no
+``axioms``, no ``verifier`` and no ``_twosat``.
 """
 
 from __future__ import annotations

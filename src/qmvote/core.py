@@ -93,10 +93,6 @@ class Preference(IntEnum):
     STRICT_Y = 1
     INDIFFERENT = 2
 
-    @property
-    def char(self) -> str:
-        return _PREF_CHAR[self]
-
     def weakly_prefers(self, alternative: Alternative) -> bool:
         """True iff this voter ranks `alternative` at least as high as the other."""
         return self is Preference.INDIFFERENT or self is strict_preference_for(alternative)

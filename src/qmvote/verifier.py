@@ -19,11 +19,14 @@ cap, which only a call that drops axioms can reach, is refused at every n.
 
 The index tables behind both spaces are built arithmetically, with no
 ``Profile`` objects: ``_profile_cells`` reads every full-space relation
-(dual, adjacent transpositions, single-voter moves) off the base-3
-digits of a profile's index, and ``_tally_cells`` reads the anonymous
-ones off the tally classes. Nothing here imports ``axioms``, so
-``verify`` and ``enumerate`` load none of it; ``qmvote check`` runs in
-``_tablecheck`` and loads none of this module.
+(dual, adjacent transpositions, single-voter moves toward X) off the
+base-3 digits of a profile's index, and ``_tally_cells`` reads the
+anonymous ones off the tally classes. The moves toward Y need no table:
+each is the reverse of a move toward X, so it gives the same clause.
+This module works on cells alone and imports nothing profile-level; the
+profile-level checkers and the balanced-profile argument for 2q <= n
+live in ``axioms``, which ``verify`` and ``enumerate`` never load, and
+``qmvote check`` runs in ``_tablecheck`` and loads none of this module.
 
 The search is the one engine. The sweep in ``_kernels``, which tests
 every encoding, is only the oracle the tests compare it with, and
@@ -39,22 +42,10 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from . import _twosat
-from .core import (
-    _TOWARD_X,
-    _TOWARD_Y,
-    Alternative,
-    FrozenValue,
-    Preference,
-    Profile,
-    dual,
-    permute,
-    strict_preference_for,
-    tally,
-)
+from .core import _TOWARD_X, Alternative, FrozenValue
 from .rules import (
     AnonymousTableRule,
     TableRule,
-    evaluator,
     num_tally_classes,
     qualified_majority_rules,
     tally_classes,
@@ -88,8 +79,6 @@ class _Cells(NamedTuple):
     dual_idx: Sequence[int]
     resp_x_indptr: Sequence[int]
     resp_x_targets: Sequence[int]
-    resp_y_indptr: Sequence[int]
-    resp_y_targets: Sequence[int]
     trans: list[Sequence[int]]
 
 
@@ -102,7 +91,7 @@ def _csr(target_lists: list[list[int]]) -> tuple[list[int], list[int]]:
 
 # A profile index is a base-3 number, voter i's digit weighing 3^i (0 =
 # STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT). Per digit, the digit each
-# state takes in the dual; core._TOWARD_X and _TOWARD_Y give the moves.
+# state takes in the dual; core._TOWARD_X gives the moves.
 _DUAL_DIGIT = (1, 0, 2)
 
 
@@ -115,23 +104,12 @@ def _digit_sums(n: int, value, start=0) -> list:
     return sums
 
 
-def _moves(n: int, toward) -> tuple[array, array]:
-    """The single-voter moves of every profile as CSR (indptr, targets).
-
-    A profile's moves are those of its low n//2 voters followed by those
-    of its high voters, so two small tables of index changes, one per
-    half, give every target."""
-
-    def deltas(k: int, first: int) -> list[tuple[int, ...]]:
-        return _digit_sums(k, lambda i, d: tuple(s * 3 ** (first + i) for s in toward[d]), ())
-
-    low_n = n // 2
-    low, high = deltas(low_n, 0), deltas(n - low_n, low_n)
-    counts = (len(head) + len(tail) for tail in high for head in low)
-    indptr = array("i", accumulate(counts, initial=0))
-    targets = array("i")
-    for h, tail in enumerate(high):
-        targets.extend([p + d for p, head in enumerate(low, h * len(low)) for d in head + tail])
+def _moves(n: int) -> tuple[array, array]:
+    """The single-voter moves toward X of every profile as CSR (indptr,
+    targets), each profile's in the canonical neighbor order."""
+    deltas = _digit_sums(n, lambda i, d: tuple(s * 3**i for s in _TOWARD_X[d]), ())
+    indptr = array("i", accumulate(map(len, deltas), initial=0))
+    targets = array("i", [p + d for p, moves in enumerate(deltas) for d in moves])
     return indptr, targets
 
 
@@ -151,21 +129,20 @@ def _profile_cells(n: int) -> _Cells:
     ny = array("i", _digit_sums(n, lambda i, d: int(d == 1)))
     support = array("i", map(max, nx, ny))
     dual_idx = array("i", _digit_sums(n, lambda i, d: _DUAL_DIGIT[d] * 3**i))
-    xi, xt = _moves(n, _TOWARD_X)
-    yi, yt = _moves(n, _TOWARD_Y)
+    xi, xt = _moves(n)
     trans = [
         array("i", _digit_sums(n, lambda i, d, j=j: d * _swap_weight(j, i)))
         for j in range(n - 1)
     ]
-    return _Cells(3**n, nx, ny, support, dual_idx, xi, xt, yi, yt, trans)
+    return _Cells(3**n, nx, ny, support, dual_idx, xi, xt, trans)
 
 
 @lru_cache(maxsize=4)
 def _tally_cells(n: int) -> _Cells:
     """Index tables for the anonymous space: one cell per tally class.
 
-    Built arithmetically from the three single-voter moves toward the
-    winner, independently of the profile-level neighbor generator; the
+    Built arithmetically from the three single-voter moves toward X,
+    independently of the profile-level neighbor generator; the
     test suite checks the two levels agree on every anonymous rule at
     small n.
     """
@@ -176,25 +153,16 @@ def _tally_cells(n: int) -> _Cells:
     support = [max(c) for c in classes]
     dual_idx = [index[(c[1], c[0])] for c in classes]
     resp_x: list[list[int]] = []
-    resp_y: list[list[int]] = []
     for cx, cy in classes:
         toward_x = []
-        toward_y = []
         if cy >= 1:
             toward_x.append(index[(cx + 1, cy - 1)])
             toward_x.append(index[(cx, cy - 1)])
         if cx + cy < n:
             toward_x.append(index[(cx + 1, cy)])
-        if cx >= 1:
-            toward_y.append(index[(cx - 1, cy + 1)])
-            toward_y.append(index[(cx - 1, cy)])
-        if cx + cy < n:
-            toward_y.append(index[(cx, cy + 1)])
         resp_x.append(toward_x)
-        resp_y.append(toward_y)
     xi, xt = _csr(resp_x)
-    yi, yt = _csr(resp_y)
-    return _Cells(len(classes), nx, ny, support, dual_idx, xi, xt, yi, yt, [])
+    return _Cells(len(classes), nx, ny, support, dual_idx, xi, xt, [])
 
 
 # Output columns: one byte per cell, the winner there (0 = X, 1 = Y).
@@ -450,94 +418,3 @@ def verify_characterization(n: int, q: int, space: str = SPACE_FULL) -> bool:
     if space not in (SPACE_FULL, SPACE_ANONYMOUS):
         raise ValueError(f"unknown space {space!r}")
     return _enumerate(space, n, q).matches_theorem
-
-
-def merge_profile(first: Profile, second: Profile, winner: Alternative) -> Profile:
-    """Combine two profiles into the canonical profile whose winner support
-    is the max of the two and whose loser support is the min.
-
-    Remaining voters are indifferent; layout is winner supporters first,
-    then loser supporters, then indifferents.
-    """
-    if first.n != second.n:
-        raise ValueError("profiles must have the same number of voters")
-    n = first.n
-    loser = winner.other
-    win_count = max(tally(first).count_for(winner), tally(second).count_for(winner))
-    lose_count = min(tally(first).count_for(loser), tally(second).count_for(loser))
-    voters = (
-        (strict_preference_for(winner),) * win_count
-        + (strict_preference_for(loser),) * lose_count
-        + (Preference.INDIFFERENT,) * (n - win_count - lose_count)
-    )
-    return Profile(voters)
-
-
-class ContradictionWitness(FrozenValue):
-    """The balanced-profile construction showing no rule can be both
-    anonymous and q-neutral when the quota is not qualified.
-
-    On a profile with exactly q strict supporters per side, the reversed
-    profile is a rearrangement of the original, so anonymity demands the
-    winner stay put, while the profile sits inside the high-certainty
-    region, so q-neutrality demands the winner swap. Any concrete rule
-    violates exactly one of the two demands here.
-    """
-
-    __slots__ = _fields = (
-        "profile",
-        "dual_profile",
-        "permutation",
-        "anonymity_requires",
-        "neutrality_requires",
-        "observed",
-        "violated_axiom",
-    )
-
-    def __init__(
-        self,
-        profile: Profile,
-        dual_profile: Profile,
-        permutation: tuple[int, ...],
-        anonymity_requires: Alternative,
-        neutrality_requires: Alternative,
-        observed: Alternative,
-        violated_axiom: str,
-    ) -> None:
-        self._set(
-            profile,
-            dual_profile,
-            permutation,
-            anonymity_requires,
-            neutrality_requires,
-            observed,
-            violated_axiom,
-        )
-
-
-def unqualified_quota_contradiction(rule, n: int, q: int) -> ContradictionWitness:
-    """Build the balanced profile for an unqualified quota and report which of
-    the two conflicting requirements the given rule breaks on it."""
-    if n < 2:
-        raise ValueError("the construction needs at least two voters")
-    if not (0 <= q and 2 * q <= n):
-        raise ValueError(
-            f"not applicable: quota {q} is qualified for n={n} (needs 2q <= n)"
-        )
-    profile = Profile.from_counts(q, q, n - 2 * q)
-    mirrored = dual(profile)
-    perm = tuple(range(q, 2 * q)) + tuple(range(q)) + tuple(range(2 * q, n))
-    assert permute(profile, perm) == mirrored
-    ev = evaluator(rule)
-    value = ev(profile)
-    observed = ev(mirrored)
-    violated = "q-neutrality" if observed is value else "anonymity"
-    return ContradictionWitness(
-        profile=profile,
-        dual_profile=mirrored,
-        permutation=perm,
-        anonymity_requires=value,
-        neutrality_requires=value.other,
-        observed=observed,
-        violated_axiom=violated,
-    )

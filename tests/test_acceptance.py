@@ -40,6 +40,7 @@ from qmvote.axioms import (
     check_responsiveness,
     replay_witness,
     run_all_checks,
+    unqualified_quota_contradiction,
 )
 from qmvote._kernels import sweep_survivors
 from qmvote._tablecheck import run_table_checks
@@ -48,7 +49,6 @@ from qmvote.verifier import (
     enumerate_anonymous,
     enumerate_full,
     survivors_anonymous,
-    unqualified_quota_contradiction,
 )
 
 X, Y = Alternative.X, Alternative.Y

@@ -354,9 +354,10 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     verify = cli_call("verify", "--n", "5", "--all-q", "--space", "anonymous")
     want = {"qmvote.core", "qmvote.rules", "qmvote.verifier", "qmvote._twosat"}
     assert loaded_modules(verify, library | heavy) == want
-    # check decides the axioms on the rule's bitset: no verifier, no search
+    # check decides the axioms on the rule's bitset and builds its own
+    # reports: no profile-level checkers, no verifier, no search
     check = cli_call("check", "--rule", "builtin:qm:3:X", "--n", "4", "--q", "3")
-    want = {"qmvote.core", "qmvote.rules", "qmvote.axioms", "qmvote._tablecheck"}
+    want = {"qmvote.core", "qmvote.rules", "qmvote._tablecheck"}
     assert loaded_modules(check, library | heavy) == want
     path = write_ballot_file(tmp_path, ["X", "X", "TIE"])
     decide = cli_call("decide", "--ballots", str(path), "--q", "2", "--reform", "X")

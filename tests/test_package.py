@@ -21,14 +21,14 @@ EXPORTS = {
         "threshold_table_rule",
     ],
     "axioms": [
-        "AxiomReport", "Witness", "check_anonymity", "check_anonymity_all_permutations",
-        "check_neutrality", "check_q_neutrality", "check_responsiveness", "replay_witness",
-        "run_all_checks",
+        "AxiomReport", "ContradictionWitness", "Witness", "check_anonymity",
+        "check_anonymity_all_permutations", "check_neutrality", "check_q_neutrality",
+        "check_responsiveness", "merge_profile", "replay_witness", "run_all_checks",
+        "unqualified_quota_contradiction",
     ],
     "verifier": [
-        "ContradictionWitness", "GuardError", "SPACE_ANONYMOUS", "SPACE_FULL", "SurvivorInfo",
-        "VerificationResult", "enumerate_anonymous", "enumerate_full", "merge_profile",
-        "survivors_anonymous", "survivors_full", "unqualified_quota_contradiction",
+        "GuardError", "SPACE_ANONYMOUS", "SPACE_FULL", "SurvivorInfo", "VerificationResult",
+        "enumerate_anonymous", "enumerate_full", "survivors_anonymous", "survivors_full",
         "verify_characterization",
     ],
 }

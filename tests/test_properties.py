@@ -24,6 +24,7 @@ from qmvote.axioms import (
     check_neutrality,
     check_q_neutrality,
     check_responsiveness,
+    merge_profile,
     replay_witness,
     run_all_checks,
 )
@@ -150,8 +151,6 @@ def profile_pair_with_winner(draw):
 
 @given(profile_pair_with_winner())
 def test_merged_profile_takes_max_winner_support_min_loser_support(case):
-    from qmvote.verifier import merge_profile
-
     first, second, winner = case
     merged = merge_profile(first, second, winner)
     t1, t2, tm = tally(first), tally(second), tally(merged)

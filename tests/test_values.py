@@ -5,15 +5,15 @@ import pickle
 
 import pytest
 
-from qmvote.axioms import AxiomReport, Witness
-from qmvote.core import Alternative, Profile, Tally
-from qmvote.rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
-from qmvote.verifier import (
+from qmvote.axioms import (
+    AxiomReport,
     ContradictionWitness,
-    SurvivorInfo,
-    VerificationResult,
+    Witness,
     unqualified_quota_contradiction,
 )
+from qmvote.core import Alternative, Profile, Tally
+from qmvote.rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
+from qmvote.verifier import SurvivorInfo, VerificationResult
 
 X, Y = Alternative.X, Alternative.Y
 P = Profile.from_string

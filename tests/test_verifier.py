@@ -29,7 +29,9 @@ from qmvote.axioms import (
     check_anonymity,
     check_q_neutrality,
     check_responsiveness,
+    merge_profile,
     run_all_checks,
+    unqualified_quota_contradiction,
 )
 from qmvote.verifier import (
     SPACE_ANONYMOUS,
@@ -41,10 +43,8 @@ from qmvote.verifier import (
     _profile_cells,
     enumerate_anonymous,
     enumerate_full,
-    merge_profile,
     survivors_anonymous,
     survivors_full,
-    unqualified_quota_contradiction,
     verify_characterization,
 )
 
@@ -150,12 +150,9 @@ def reference_profile_cells(n):
     ny = [tally(p).n_y for p in profiles]
     support = [max(tally(p).n_x, tally(p).n_y) for p in profiles]
     dual_idx = [dual(p).index for p in profiles]
-    resp_x = [[r.index for r in responsive_neighbors(p, X)] for p in profiles]
-    resp_y = [[r.index for r in responsive_neighbors(p, Y)] for p in profiles]
-    xi, xt = _csr(resp_x)
-    yi, yt = _csr(resp_y)
+    xi, xt = _csr([[r.index for r in responsive_neighbors(p, X)] for p in profiles])
     trans = [[permute(p, t).index for p in profiles] for t in adjacent_transpositions(n)]
-    return _Cells(len(profiles), nx, ny, support, dual_idx, xi, xt, yi, yt, trans)
+    return _Cells(len(profiles), nx, ny, support, dual_idx, xi, xt, trans)
 
 
 def test_arithmetic_profile_tables_match_the_profile_level_reference():
@@ -165,6 +162,18 @@ def test_arithmetic_profile_tables_match_the_profile_level_reference():
         for field in _Cells._fields[1:-1]:
             assert list(getattr(cells, field)) == getattr(want, field), (n, field)
         assert [list(column) for column in cells.trans] == want.trans, n
+
+
+def test_moves_toward_y_are_the_moves_toward_x_reversed():
+    # the search and the sweep keep only the X-ward moves: each Y-ward move
+    # is an X-ward one taken backwards, so it gives the same clause
+    for n in range(1, 6):
+        profiles = all_profiles(n)
+        # (p, t) with t in responsive_neighbors(p, Y), and with p in
+        # responsive_neighbors(t, X)
+        toward_y = {(p, t) for p in profiles for t in responsive_neighbors(p, Y)}
+        back_from_x = {(p, t) for t in profiles for p in responsive_neighbors(t, X)}
+        assert toward_y == back_from_x, n
 
 
 # --- enumeration guard rails ------------------------------------------------
@@ -374,8 +383,6 @@ def test_full_n3_window_scan_finds_exactly_the_quota_rule():
         cells.dual_idx,
         cells.resp_x_indptr,
         cells.resp_x_targets,
-        cells.resp_y_indptr,
-        cells.resp_y_targets,
         cells.trans,
         want_anonymity=True,
     )
