@@ -1,4 +1,4 @@
-"""Rule-space scan kernel: the sweep oracle.
+"""Rule-space scan kernel, which the tests' sweep oracle runs.
 
 One vectorized numpy kernel serves both rule spaces: a rule is an
 integer whose bit k is the winner at cell k (0 = X, 1 = Y), where cells
@@ -14,19 +14,17 @@ toward Y gives p back, so a rule breaks the Y-ward instance (Y wins at
 t, X at p) exactly when it breaks the X-ward one from p. Testing each
 X-ward pair once therefore finds every responsiveness violation.
 
-The verifier decides every call with its 2-SAT search and never imports
-this module: ``sweep_survivors`` is only the oracle the tests compare
-that search with. It runs in one thread and has no size guard, so its
-caller picks a size that fits. It stays in the package, next to
-``scan_rules``, because the benchmark's trace hook wraps ``scan_rules``
-here by name.
+The verifier never imports this module. The tests' sweep oracle
+(``tests/sweep_oracle.py``) feeds ``scan_rules`` index tables built from
+the profile-level operations and tests every encoding of a small space
+with it. ``scan_rules`` runs in one thread and has no size guard, so its
+caller picks a size that fits. It stays in the package because the
+benchmark's trace hook wraps it here by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .verifier import SPACE_FULL, _checked_cells
 
 _CHUNK = 1 << 14
 
@@ -75,24 +73,3 @@ def scan_rules(
     if not found:
         return np.empty(0, np.int64)
     return np.concatenate(found)
-
-
-def sweep_survivors(space: str, n: int, q: int, **checks: bool) -> list[int]:
-    """Encodings of the rules of ``space`` at n voters passing the checks
-    selected by ``want_neutrality``, ``want_responsiveness`` and
-    ``want_anonymity``, ascending, found by testing every encoding. Every
-    check is on by default, except anonymity in the anonymous space, where
-    it always holds."""
-    cells = _checked_cells(space, n, q)
-    checks = {"want_anonymity": space == SPACE_FULL, **checks}
-    found = scan_rules(
-        0,
-        1 << cells.ncells,
-        [int(s >= q) for s in cells.support],
-        cells.dual_idx,
-        cells.resp_x_indptr,
-        cells.resp_x_targets,
-        cells.trans,
-        **checks,
-    )
-    return found.tolist()

@@ -28,8 +28,9 @@ A quota rule, an anonymous table and R_q see a profile only through its
 tally, so their encodings are lifted from the tally classes voter by
 voter, two shifts and two ORs per class and voter. The reports,
 witnesses included, are those of ``axioms.run_all_checks``, which stays
-this module's oracle in the tests. No profile is evaluated, no index
-table is built and no big int is divided.
+this module's oracle in the tests. No profile is evaluated and no big
+int is divided. The masks, the lift and the dual are ``core``'s, and
+``qmvote verify`` closes its search with the same ones.
 
 The report types, ``AxiomReport`` and ``Witness``, and the axiom names
 are defined here, where every ``check`` builds them; ``axioms`` imports
@@ -41,13 +42,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import _TOWARD_X, _TOWARD_Y, Alternative, FrozenValue, Profile, dual
+from .core import (
+    _TOWARD_X,
+    _TOWARD_Y,
+    Alternative,
+    FrozenValue,
+    Profile,
+    _anonymity_pairs,
+    _dual,
+    _lift,
+    _voter_masks,
+    dual,
+)
 from .rules import (
     AnonymousTableRule,
     QualifiedMajorityRule,
     TableRule,
     tally_class_index,
-    tally_classes,
 )
 
 ANONYMITY = "anonymity"
@@ -106,38 +117,6 @@ def _lowest(bits: int) -> int:
     return (bits ^ (bits - 1)).bit_length() - 1
 
 
-def _voter_masks(n: int) -> list[int]:
-    """Per voter i, the profiles where voter i holds digit 0."""
-    full = (1 << 3**n) - 1
-    masks = []
-    for i in range(n):
-        bits, filled = (1 << 3**i) - 1, 3 ** (i + 1)
-        while filled < 3**n:
-            bits |= bits << filled
-            filled *= 2
-        masks.append(bits & full)
-    return masks
-
-
-def _lift(n: int, y_wins) -> int:
-    """The encoding of the anonymous rule under which Y wins at a profile
-    with n_x strict X and n_y strict Y supporters iff ``y_wins(n_x, n_y)``.
-
-    Built voter by voter: ``level[a, b]`` is the encoding over voters
-    0..k-1 when voters k..n-1 hold a strict X and b strict Y supporters.
-    Voter k joins at weight 3^k: with digit 0 it is one of those X
-    supporters, so (a, b) reads entry (a + 1, b); with digit 1 it reads
-    (a, b + 1), and with digit 2 (a, b)."""
-    level = {(a, b): int(y_wins(a, b)) for a, b in tally_classes(n)}
-    for k in range(n):
-        s = 3**k
-        level = {
-            (a, b): level[a + 1, b] | level[a, b + 1] << s | level[a, b] << 2 * s
-            for a, b in tally_classes(n - k - 1)
-        }
-    return level[0, 0]
-
-
 def _encoding(rule, n: int) -> int:
     """The rule's 3^n-bit encoding, read off its definition."""
     if getattr(rule, "n", n) != n:
@@ -155,18 +134,13 @@ def _encoding(rule, n: int) -> int:
 
 def _first_anonymity_violation(n: int, out: int, masks: list[int]) -> _Violation:
     first = None
-    for j in range(n - 1):
-        s = 3**j
-        one, two = masks[j] << s, masks[j] << 2 * s  # voter j holds 1, 2
-        next_zero, next_one = masks[j + 1], masks[j + 1] << 3 * s  # voter j + 1 holds 0, 1
-        # swapping digits a > b of voters j and j + 1 moves p to p + (a - b)*2*3^j
-        for held, k in ((one & next_zero | two & next_one, 2 * s), (two & next_zero, 4 * s)):
-            bad = held & (out ^ out >> k)
-            if bad:
-                p = _lowest(bad)
-                # a later transposition comes first only at an earlier profile
-                if first is None or p < first[0]:
-                    first = (p, p + k, out >> p & 1)
+    for held, k in _anonymity_pairs(n, masks):
+        bad = held & (out ^ out >> k)
+        if bad:
+            p = _lowest(bad)
+            # a later transposition comes first only at an earlier profile
+            if first is None or p < first[0]:
+                first = (p, p + k, out >> p & 1)
     return first
 
 
@@ -187,15 +161,6 @@ def _first_responsiveness_violation(n: int, out: int, masks: list[int]) -> _Viol
                     found = min((p, i, move, p + k, 0), (p + k, i, back, p, 1))
                     first = found if first is None else min(first, found)
     return None if first is None else (first[0], first[3], first[4])
-
-
-def _dual(n: int, out: int, masks: list[int]) -> int:
-    """The encoding whose bit p is bit dual(p) of ``out``."""
-    for i in range(n):
-        s = 3**i
-        x, y, ind = masks[i], masks[i] << s, masks[i] << 2 * s
-        out = out & ind | (out & x) << s | (out & y) >> s
-    return out
 
 
 def _first_neutrality_violation(n: int, out: int, masks: list[int], q: int) -> _Violation:

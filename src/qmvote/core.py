@@ -8,9 +8,13 @@ are memoized in bounded caches shared across threads: ``tally`` and
 ``dual`` per profile, ``all_profiles`` and ``adjacent_transpositions``
 per voter count. ``permute`` and ``responsive_neighbors`` are recomputed
 on every call. These operations serve the profile-level checkers in
-``axioms`` (the oracle), the rule encoders and the proof helpers; the
-verifier builds its index tables, and ``qmvote check`` its bitsets, from
-base-3 digit arithmetic on profile indices instead.
+``axioms`` (the oracle), the rule encoders and the proof helpers.
+
+The last part of the module is the axiom algebra that ``qmvote check``
+and ``qmvote verify`` share: a set of profiles is one int of 3^n bits,
+bit p standing for the profile of canonical index p, and every axiom
+instance pairs p with p + k for a k read off p's base-3 digits. So each
+axiom is a few masked shifts of such a set, and no profile is built.
 
 Canonical profile numbering: a profile is read as a base-3 integer whose
 digit for voter 0 is least significant, with digit encoding STRICT_X=0,
@@ -297,11 +301,70 @@ def responsive_neighbors(profile: Profile, winner: Alternative) -> tuple[Profile
 
 # Per digit of a voter (0 = STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT), the
 # digit changes of that voter's moves toward X and toward Y, in the order
-# of responsive_neighbors. A move changes the profile index by the change
-# times 3^i, so the verifier's index tables and the bitsets behind
-# ``qmvote check`` read the canonical move order off these.
+# of responsive_neighbors. A move of voter i changes the profile index by
+# the change times 3^i.
 _TOWARD_X = ((), (1, -1), (-2,))
 _TOWARD_Y = ((2, 1), (), (-1,))
+
+
+def _voter_masks(n: int) -> list[int]:
+    """Per voter i, the profiles where voter i holds digit 0: runs of 3^i
+    ones every 3^(i+1) bits, built by doubling. Digits 1 and 2 are the same
+    set shifted by 3^i and 2*3^i."""
+    full = (1 << 3**n) - 1
+    masks = []
+    for i in range(n):
+        bits, filled = (1 << 3**i) - 1, 3 ** (i + 1)
+        while filled < 3**n:
+            bits |= bits << filled
+            filled *= 2
+        masks.append(bits & full)
+    return masks
+
+
+def _anonymity_pairs(n: int, masks: list[int]) -> list[tuple[int, int]]:
+    """(held, k) per adjacent voter pair j, j+1, in order of j: ``held``
+    the profiles where voters j and j+1 hold digits a > b, and k =
+    (a - b)*2*3^j, the index change of swapping the two. Anonymity asks
+    the same winner at p and p + k for every p in ``held``; a pair of
+    equal digits swaps to itself, so these are all its instances."""
+    pairs = []
+    for j in range(n - 1):
+        s = 3**j
+        one, two = masks[j] << s, masks[j] << 2 * s  # voter j holds 1, 2
+        next_zero, next_one = masks[j + 1], masks[j + 1] << 3 * s  # voter j + 1 holds 0, 1
+        pairs.append((one & next_zero | two & next_one, 2 * s))
+        pairs.append((two & next_zero, 4 * s))
+    return pairs
+
+
+def _lift(n: int, y_wins) -> int:
+    """The set of profiles with n_x strict X and n_y strict Y supporters
+    such that ``y_wins(n_x, n_y)``: the encoding of that anonymous rule.
+
+    Built voter by voter: ``level[a, b]`` is the set over voters 0..k-1
+    when voters k..n-1 hold a strict X and b strict Y supporters. Voter k
+    joins at weight 3^k: with digit 0 it is one of those X supporters, so
+    (a, b) reads entry (a + 1, b); with digit 1 it reads (a, b + 1), and
+    with digit 2 (a, b)."""
+    level = {(a, b): int(y_wins(a, b)) for a in range(n + 1) for b in range(n + 1 - a)}
+    for k in range(n):
+        s, m = 3**k, n - k - 1
+        level = {
+            (a, b): level[a + 1, b] | level[a, b + 1] << s | level[a, b] << 2 * s
+            for a in range(m + 1)
+            for b in range(m + 1 - a)
+        }
+    return level[0, 0]
+
+
+def _dual(n: int, out: int, masks: list[int]) -> int:
+    """The set whose bit p is bit dual(p) of ``out``."""
+    for i in range(n):
+        s = 3**i
+        x, y, ind = masks[i], masks[i] << s, masks[i] << 2 * s
+        out = out & ind | (out & x) << s | (out & y) >> s
+    return out
 
 
 # one entry holds 3^n profiles; the test suite walks seven voter counts

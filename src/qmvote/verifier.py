@@ -7,179 +7,65 @@ against the qualified majority rules with quota q: the expected outcome
 is no survivors when 2q <= n and exactly the two quota-q rules when
 2q > n.
 
-The search reads each axiom instance as a binary clause over cell bits
-and lists the solutions of that 2-CNF (``_twosat``); it never visits the
-rules that fail, so its cost follows the cell count, and
-``rules_examined`` still reports the 2^cells rules the space holds. The
-responsiveness and anonymity clauses do not depend on the quota: their
-implication graph is built once per space, n and axiom subset
-(``_base_graph``), and each quota adds only the q-neutrality lookup. It
+Every axiom instance ties the winners at two cells, so the rules passing
+the axioms are the solutions of a 2-CNF over cell bits (1 = Y wins). The
+search holds a partial rule as two sets of cells, Z where X is fixed and
+O where Y is, each one int with a bit per cell. It closes them under
+every instance at once with the masked shifts ``qmvote check`` applies
+to a whole rule (``core``'s voter masks, anonymity pairs, lift and
+dual), and branches on a free cell only once the closure is done. So it
+never visits the rules that fail, its cost follows the cell count, and
+``rules_examined`` still reports the 2^cells rules the space holds. It
 is guarded by a cell cap and a survivor cap; a call past the survivor
-cap, which only a call that drops axioms can reach, is refused at every n.
+cap, which only a call that drops axioms can reach, is refused at every
+n.
 
-The index tables behind both spaces are built arithmetically, with no
-``Profile`` objects: ``_profile_cells`` reads every full-space relation
-(dual, adjacent transpositions, single-voter moves toward X) off the
-base-3 digits of a profile's index, and ``_tally_cells`` reads the
-anonymous ones off the tally classes. The moves toward Y need no table:
-each is the reverse of a move toward X, so it gives the same clause.
-This module works on cells alone and imports nothing profile-level; the
-profile-level checkers and the balanced-profile argument for 2q <= n
-live in ``axioms``, which ``verify`` and ``enumerate`` never load, and
-``qmvote check`` runs in ``_tablecheck`` and loads none of this module.
-
-The search is the one engine. The sweep in ``_kernels``, which tests
-every encoding, is only the oracle the tests compare it with, and
-nothing here imports it.
+The full space's cells are the canonical profile indices, as in
+``check``; the anonymous space's are the tally classes, laid out on a
+grid (``_AnonymousSpace``). This module imports nothing profile-level:
+the profile-level checkers and the balanced-profile argument for
+2q <= n live in ``axioms``, which ``verify`` and ``enumerate`` never
+load. The tests check the search against a sweep of every encoding and
+against the profile-level checkers.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
-from functools import lru_cache
-from itertools import accumulate
-from typing import NamedTuple, Sequence
 
-from . import _twosat
-from .core import _TOWARD_X, Alternative, FrozenValue
+from .core import (
+    _TOWARD_X,
+    _TOWARD_Y,
+    Alternative,
+    FrozenValue,
+    _anonymity_pairs,
+    _dual,
+    _lift,
+    _voter_masks,
+)
 from .rules import (
     AnonymousTableRule,
     TableRule,
     num_tally_classes,
     qualified_majority_rules,
-    tally_classes,
 )
 
 SPACE_FULL = "full"
 SPACE_ANONYMOUS = "anonymous"
 
-# SAT engine guard, in cells (3^n full, (n+1)(n+2)/2 anonymous). It keeps
+# Search guard, in cells (3^n full, (n+1)(n+2)/2 anonymous). It keeps
 # 2^cells within Python's default 4300-digit int-to-str limit, which the
-# JSON report needs. Against a 5 s budget for verify --all-q, start-up
-# included, on 2 vCPUs (Intel Xeon, Python 3.11.7), as fresh processes:
-# full n=8 (6,561 cells) 0.5-0.7 s, anonymous n=160 (13,041) 4.2-5.3 s and
-# n=165 (13,861, the largest admitted) 4.5-5.7 s while the host ran about
-# 2.4x slower than usual; on a quiet host a slower search had taken n=160
-# 2.0-2.1 s and n=165 2.3-2.4 s.
-_SAT_MAX_CELLS = 14000
-# the SAT engine lists every survivor; refuse before that list grows large
-_SAT_MAX_SURVIVORS = 1 << 16
+# JSON report needs; time is not what binds. Fresh verify --all-q
+# processes on 2 vCPUs (Intel Xeon, Python 3.11.7), medians of 7-11 runs:
+# full n=8 (6,561 cells) 0.08 s and 15 MB, anonymous n=160 (13,041)
+# 0.35 s and 17 MB, n=165 (13,861, the largest admitted) 0.60 s and 18 MB.
+_MAX_CELLS = 14000
+# the search lists every survivor; refuse before that list grows large
+_MAX_SURVIVORS = 1 << 16
 
 
 class GuardError(ValueError):
     """Raised when an enumeration would be infeasibly large."""
-
-
-class _Cells(NamedTuple):
-    ncells: int
-    nx: Sequence[int]
-    ny: Sequence[int]
-    support: Sequence[int]  # max(nx, ny): the cell lies in R_q iff support >= q
-    dual_idx: Sequence[int]
-    resp_x_indptr: Sequence[int]
-    resp_x_targets: Sequence[int]
-    trans: list[Sequence[int]]
-
-
-def _csr(target_lists: list[list[int]]) -> tuple[list[int], list[int]]:
-    indptr = [0]
-    for targets in target_lists:
-        indptr.append(indptr[-1] + len(targets))
-    return indptr, [t for targets in target_lists for t in targets]
-
-
-# A profile index is a base-3 number, voter i's digit weighing 3^i (0 =
-# STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT). Per digit, the digit each
-# state takes in the dual; core._TOWARD_X gives the moves.
-_DUAL_DIGIT = (1, 0, 2)
-
-
-def _digit_sums(n: int, value, start=0) -> list:
-    """Per index of n base-3 digits, ``start`` plus the sum over digits i,
-    lowest first, of ``value(i, digit i)``; tuple values concatenate."""
-    sums = [start]
-    for i in range(n):
-        sums = [s + add for add in (value(i, 0), value(i, 1), value(i, 2)) for s in sums]
-    return sums
-
-
-def _moves(n: int) -> tuple[array, array]:
-    """The single-voter moves toward X of every profile as CSR (indptr,
-    targets), each profile's in the canonical neighbor order."""
-    deltas = _digit_sums(n, lambda i, d: tuple(s * 3**i for s in _TOWARD_X[d]), ())
-    indptr = array("i", accumulate(map(len, deltas), initial=0))
-    targets = array("i", [p + d for p, moves in enumerate(deltas) for d in moves])
-    return indptr, targets
-
-
-def _swap_weight(j: int, i: int) -> int:
-    """3^i with the places of voters j and j+1 exchanged."""
-    return 3 ** (j + 1) if i == j else 3**j if i == j + 1 else 3**i
-
-
-@lru_cache(maxsize=4)
-def _profile_cells(n: int) -> _Cells:
-    """Index tables for the full space: one cell per profile.
-
-    Built from base-3 digit arithmetic alone, without Profile objects;
-    the test suite checks them against tables built through the
-    profile-level operations in ``core``."""
-    nx = array("i", _digit_sums(n, lambda i, d: int(d == 0)))
-    ny = array("i", _digit_sums(n, lambda i, d: int(d == 1)))
-    support = array("i", map(max, nx, ny))
-    dual_idx = array("i", _digit_sums(n, lambda i, d: _DUAL_DIGIT[d] * 3**i))
-    xi, xt = _moves(n)
-    trans = [
-        array("i", _digit_sums(n, lambda i, d, j=j: d * _swap_weight(j, i)))
-        for j in range(n - 1)
-    ]
-    return _Cells(3**n, nx, ny, support, dual_idx, xi, xt, trans)
-
-
-@lru_cache(maxsize=4)
-def _tally_cells(n: int) -> _Cells:
-    """Index tables for the anonymous space: one cell per tally class.
-
-    Built arithmetically from the three single-voter moves toward X,
-    independently of the profile-level neighbor generator; the
-    test suite checks the two levels agree on every anonymous rule at
-    small n.
-    """
-    classes = tally_classes(n)
-    index = {c: k for k, c in enumerate(classes)}
-    nx = [c[0] for c in classes]
-    ny = [c[1] for c in classes]
-    support = [max(c) for c in classes]
-    dual_idx = [index[(c[1], c[0])] for c in classes]
-    resp_x: list[list[int]] = []
-    for cx, cy in classes:
-        toward_x = []
-        if cy >= 1:
-            toward_x.append(index[(cx + 1, cy - 1)])
-            toward_x.append(index[(cx, cy - 1)])
-        if cx + cy < n:
-            toward_x.append(index[(cx + 1, cy)])
-        resp_x.append(toward_x)
-    xi, xt = _csr(resp_x)
-    return _Cells(len(classes), nx, ny, support, dual_idx, xi, xt, [])
-
-
-# Output columns: one byte per cell, the winner there (0 = X, 1 = Y).
-_BIT_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
-
-
-def _column_bits(column: bytes) -> int:
-    """The table encoding of an output column."""
-    return int(column[::-1].translate(_BIT_TO_DIGIT), 2)
-
-
-def _quota_column(cells: _Cells, q: int, reform: Alternative) -> bytes:
-    """The output column of the quota-q rule with this reform: the reform
-    wins where its strict supporters reach q."""
-    if reform is Alternative.X:
-        return bytes(map(q.__gt__, cells.nx))
-    return bytes(map(q.__le__, cells.ny))
 
 
 def _num_cells(space: str, n: int) -> int:
@@ -191,38 +77,216 @@ def _guard_voters(n: int) -> None:
         raise GuardError("rule-space verification needs at least two voters")
 
 
-def _guard_sat(space: str, n: int) -> None:
+def _guard_cells(space: str, n: int) -> None:
     _guard_voters(n)
     where = f"{space} space at n={n}"
     # past n=200 either space is far over the cap (anonymous: 20,301 cells),
     # so the count, 3^n for the full space, is neither computed nor printed
     if n <= 200:
         cells = _num_cells(space, n)
-        if cells <= _SAT_MAX_CELLS:
+        if cells <= _MAX_CELLS:
             return
         where += f" has {cells:,} cells,"
     other = "; use the anonymous space" if space == SPACE_FULL else ""
-    raise GuardError(f"{where} past the {_SAT_MAX_CELLS:,}-cell limit{other}")
+    raise GuardError(f"{where} past the {_MAX_CELLS:,}-cell limit{other}")
 
 
-def _space_cells(space: str, n: int) -> _Cells:
-    return _profile_cells(n) if space == SPACE_FULL else _tally_cells(n)
+def _move_steps(n: int, masks: list[int], toward) -> list[tuple[int, tuple[int, ...]]]:
+    """(held, shifts) per voter i and digit a with moves in ``toward``:
+    ``held`` the profiles where voter i holds a, and the index change of
+    each of that digit's moves. Digits come in order 0, 1, 2, so each
+    voter's moves close in one pass: toward X, 1 -> 2 comes before 2 -> 0,
+    and toward Y, 0 -> 2 before 2 -> 1."""
+    steps = []
+    for i in range(n):
+        s = 3**i
+        for a, moves in enumerate(toward):
+            if moves:
+                steps.append((masks[i] << a * s, tuple(d * s for d in moves)))
+    return steps
 
 
-def _checked_cells(space: str, n: int, q: int) -> _Cells:
-    """The space's index tables, once the quota is known to be in range."""
-    if not 0 <= q <= n:
-        raise ValueError(f"quota must lie in 0..{n}, got {q}")
-    return _space_cells(space, n)
+def _moved(cells: int, steps) -> int:
+    """``cells`` and every cell the moves of ``steps`` reach from them."""
+    for held, shifts in steps:
+        here = cells & held
+        for k in shifts:
+            cells |= here << k if k > 0 else here >> -k
+    return cells
 
 
-@lru_cache(maxsize=4)
-def _base_graph(space: str, n: int, responsiveness: bool, anonymity: bool) -> list[list[int]]:
-    """The quota-independent implication graph: built once per space, n
-    and axiom subset, and read, never modified, by every quota's search."""
-    return _twosat.implications(
-        _space_cells(space, n), responsiveness=responsiveness, anonymity=anonymity
-    )
+class _FullSpace:
+    """The full space's clauses as masked shifts of 3^n-bit sets. A state
+    is (Z, O), closed under the clauses, and O is the encoding."""
+
+    root = (0, 0)
+
+    def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
+        masks = _voter_masks(n)
+        self.n, self.masks = n, masks
+        self.valid = (1 << 3**n) - 1
+        self.toward_x = _move_steps(n, masks, _TOWARD_X) if responsiveness else []
+        self.toward_y = _move_steps(n, masks, _TOWARD_Y) if responsiveness else []
+        self.pairs = _anonymity_pairs(n, masks) if anonymity else []
+        self.neutrality = neutrality
+        self.in_rq = _lift(n, lambda a, b: max(a, b) >= q)
+        self.out_rq = self.valid ^ self.in_rq
+
+    @staticmethod
+    def pick(free: int) -> int:
+        return free.bit_length() - 1  # the highest free cell
+
+    def fix(self, state, cell: int, y: int):
+        """``state`` with the winner at ``cell`` fixed, closed; None on a conflict."""
+        z, o = state
+        return self._close(z, o | 1 << cell) if y else self._close(z | 1 << cell, o)
+
+    @staticmethod
+    def encoding(o: int) -> int:
+        return o
+
+    def _close(self, z: int, o: int):
+        in_rq, out_rq = self.in_rq, self.out_rq
+        while True:
+            before = z, o
+            z, o = _moved(z, self.toward_x), _moved(o, self.toward_y)
+            for held, k in self.pairs:
+                z |= (z & held) << k | (z >> k) & held
+                o |= (o & held) << k | (o >> k) & held
+            if self.neutrality:
+                # the winner at dual(p) is the one at p, swapped inside R_q
+                zd, od = _dual(self.n, z, self.masks), _dual(self.n, o, self.masks)
+                z |= zd & out_rq | od & in_rq
+                o |= od & out_rq | zd & in_rq
+            if z & o:
+                return None
+            if (z, o) == before:
+                return z, o
+
+
+def _spread(cells: int, valid: int, step: int, n: int) -> int:
+    """``cells`` and every valid cell up to n steps of ``step`` bits away
+    (a negative step shifts right), as doubling prefix-ORs. No single
+    shift exceeds n steps, so it takes a valid cell to a valid cell or to
+    padding; masking at every doubling, not only at the end, drops the
+    padding before a later shift carries it into another row."""
+    reach = 1
+    while reach <= n:
+        k = reach * step
+        cells = (cells | (cells << k if k > 0 else cells >> -k)) & valid
+        reach *= 2
+    return cells
+
+
+def _grid(n: int, rows) -> int:
+    """The grid set whose row a is ``rows(a, row)``, where ``row`` holds
+    the row's n + 1 - a cells."""
+    grid, w = 0, 2 * n + 2
+    for a in reversed(range(n + 1)):
+        grid = grid << w | rows(a, (1 << n + 1 - a) - 1)
+    return grid
+
+
+def _grid_to_classes(n: int, grid: int) -> int:
+    """A grid set as an anonymous table encoding, row a to the classes
+    (a, 0..n-a), which tally-class order keeps together."""
+    out, w = 0, 2 * n + 2
+    for a in reversed(range(n + 1)):
+        out = out << n + 1 - a | grid >> a * w & (1 << n + 1 - a) - 1
+    return out
+
+
+class _AnonymousSpace:
+    """The anonymous space's clauses as shifts on a grid of tally classes.
+
+    Class (n_x, n_y) = (a, b) sits at bit a*W + b, in rows of W = 2n + 2
+    bits, so a shift by up to n cells along a row lands in the row's
+    padding. The moves toward X reach from (a, b) exactly the classes with
+    more X and fewer Y supporters, so they close as "b down, then a up";
+    the moves toward Y as "a down, then b up". The dual of (a, b) is
+    (b, a), a transpose, which no shift gives, so a state is
+    (Z, O, Zd, Od), closed under the clauses, with Zd and Od the
+    transposes of Z and O. O, mapped to tally-class order, is the
+    encoding."""
+
+    root = (0, 0, 0, 0)
+
+    def __init__(self, n: int, q: int, responsiveness: bool, neutrality: bool):
+        self.n, self.w = n, 2 * n + 2
+        self.valid = _grid(n, lambda a, row: row)
+        self.responsiveness, self.neutrality = responsiveness, neutrality
+        # R_q: all of row a when a >= q, its cells b >= q otherwise
+        self.in_rq = _grid(n, lambda a, row: row if a >= q else row >> q << q)
+        self.out_rq = self.valid ^ self.in_rq
+
+    @staticmethod
+    def pick(free: int) -> int:
+        return (free & -free).bit_length() - 1  # the lowest free cell
+
+    def fix(self, state, cell: int, y: int):
+        """``state`` with the winner at ``cell`` fixed, closed; None on a conflict."""
+        z, o, zd, od = state
+        a, b = divmod(cell, self.w)
+        bit, mirror = 1 << cell, 1 << b * self.w + a
+        if y:
+            return self._close(z, o | bit, zd, od | mirror)
+        return self._close(z | bit, o, zd | mirror, od)
+
+    def encoding(self, o: int) -> int:
+        return _grid_to_classes(self.n, o)
+
+    def _toward_x(self, cells: int) -> int:
+        cells = _spread(cells, self.valid, -1, self.n)
+        return _spread(cells, self.valid, self.w, self.n)
+
+    def _toward_y(self, cells: int) -> int:
+        cells = _spread(cells, self.valid, -self.w, self.n)
+        return _spread(cells, self.valid, 1, self.n)
+
+    def _close(self, z: int, o: int, zd: int, od: int):
+        in_rq, out_rq = self.in_rq, self.out_rq
+        while True:
+            before = z, o, zd, od
+            if self.responsiveness:
+                # transposing turns moves toward X into moves toward Y
+                z, od = self._toward_x(z), self._toward_x(od)
+                o, zd = self._toward_y(o), self._toward_y(zd)
+            if self.neutrality:
+                z, o, zd, od = (
+                    z | zd & out_rq | od & in_rq,
+                    o | od & out_rq | zd & in_rq,
+                    zd | z & out_rq | o & in_rq,
+                    od | o & out_rq | z & in_rq,
+                )
+            if z & o:
+                return None
+            if (z, o, zd, od) == before:
+                return z, o, zd, od
+
+
+def _solutions(space, limit: int) -> list[int]:
+    """Ascending encodings of the space's solutions, stopping once ``limit``
+    have been found; empty when there is none.
+
+    Depth first, X before Y, from the empty state, which is closed. Each
+    state on the stack is closed and free of conflict, so the clauses left
+    over are original ones over free cells (Even, Itai & Shamir 1976):
+    when the formula has a solution, each such state extends to one, and
+    the first free cell that takes neither value proves that it has none."""
+    found: list[int] = []
+    stack = [space.root]
+    while stack and len(found) < limit:
+        state = stack.pop()
+        free = space.valid ^ (state[0] | state[1])
+        if not free:
+            found.append(space.encoding(state[1]))
+            continue
+        cell = space.pick(free)
+        children = [child for y in (1, 0) if (child := space.fix(state, cell, y)) is not None]
+        if not children:
+            return []
+        stack.extend(children)
+    return sorted(found)
 
 
 def _scan_space(
@@ -235,27 +299,27 @@ def _scan_space(
     want_anonymity: bool,
 ) -> tuple[int, list[int]]:
     """(2^cells, ascending encodings of the rules passing the selected axioms)."""
-    cells = _checked_cells(space, n, q)
+    if not 0 <= q <= n:
+        raise ValueError(f"quota must lie in 0..{n}, got {q}")
+    cells = _num_cells(space, n)
     # with no axiom selected all 2^cells rules pass, so a count past the cap
     # is known without listing them
     every_rule = not (want_neutrality or want_responsiveness or want_anonymity)
-    if every_rule and 1 << cells.ncells > _SAT_MAX_SURVIVORS:
+    if every_rule and 1 << cells > _MAX_SURVIVORS:
         survivors = None
+    elif space == SPACE_FULL:
+        clauses = _FullSpace(n, q, want_anonymity, want_responsiveness, want_neutrality)
+        survivors = _solutions(clauses, _MAX_SURVIVORS + 1)
     else:
-        survivors = _twosat.solutions(
-            _base_graph(space, n, want_responsiveness, want_anonymity),
-            _SAT_MAX_SURVIVORS + 1,
-            dual=cells.dual_idx if want_neutrality else None,
-            support=cells.support,
-            q=q,
-        )
-    if survivors is None or len(survivors) > _SAT_MAX_SURVIVORS:
+        clauses = _AnonymousSpace(n, q, want_responsiveness, want_neutrality)
+        survivors = _solutions(clauses, _MAX_SURVIVORS + 1)
+    if survivors is None or len(survivors) > _MAX_SURVIVORS:
         # only a call that drops axioms gets here
         raise GuardError(
-            f"more than {_SAT_MAX_SURVIVORS:,} rules of the {space} space at n={n} "
+            f"more than {_MAX_SURVIVORS:,} rules of the {space} space at n={n} "
             "pass the selected axioms; select more axioms"
         )
-    return 1 << cells.ncells, survivors
+    return 1 << cells, survivors
 
 
 def survivors_full(
@@ -267,7 +331,7 @@ def survivors_full(
     use_neutrality: bool = True,
 ) -> list[int]:
     """Encodings of the full-space rules passing the selected axioms."""
-    _guard_sat(SPACE_FULL, n)
+    _guard_cells(SPACE_FULL, n)
     _, survivors = _scan_space(
         SPACE_FULL,
         n,
@@ -290,7 +354,7 @@ def survivors_anonymous(
 
     Anonymity itself holds for every rule of this space by construction.
     """
-    _guard_sat(SPACE_ANONYMOUS, n)
+    _guard_cells(SPACE_ANONYMOUS, n)
     _, survivors = _scan_space(
         SPACE_ANONYMOUS,
         n,
@@ -350,13 +414,18 @@ def decode_rule(space: str, n: int, encoding: int):
 
 
 def _expected_named(space: str, n: int, q: int) -> dict[int, str]:
-    """Canonical encodings of the quota-q qualified majority rules, read off
-    the cells' tally columns."""
-    cells = _space_cells(space, n)
-    return {
-        _column_bits(_quota_column(cells, rule.q, rule.reform)): rule.pretty()
-        for rule in qualified_majority_rules(n, q)
-    }
+    """Canonical encodings of the quota-q qualified majority rules: Y wins
+    where n_x < q under reform X, and where n_y >= q under reform Y."""
+    named = {}
+    for rule in qualified_majority_rules(n, q):
+        y_reform = rule.reform is Alternative.Y
+        if space == SPACE_FULL:
+            encoding = _lift(n, (lambda a, b: b >= q) if y_reform else (lambda a, b: a < q))
+        else:
+            rows = (lambda a, row: row >> q << q) if y_reform else (lambda a, row: row * (a < q))
+            encoding = _grid_to_classes(n, _grid(n, rows))
+        named[encoding] = rule.pretty()
+    return named
 
 
 def _build_result(
@@ -399,7 +468,7 @@ def enumerate_anonymous(n: int, q: int) -> VerificationResult:
 
 
 def _enumerate(space: str, n: int, q: int) -> VerificationResult:
-    _guard_sat(space, n)
+    _guard_cells(space, n)
     start = time.perf_counter()
     examined, survivors = _scan_space(
         space,

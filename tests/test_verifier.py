@@ -1,14 +1,11 @@
 import itertools
 import os
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
 from qmvote.core import (
     Alternative,
     Profile,
-    adjacent_transpositions,
     all_profiles,
     dual,
     permute,
@@ -21,10 +18,9 @@ from qmvote.rules import (
     TableRule,
     num_tally_classes,
     rules_equal,
+    tally_class_index,
     threshold_table_rule,
 )
-from qmvote import _twosat
-from qmvote._kernels import sweep_survivors
 from qmvote.axioms import (
     check_anonymity,
     check_q_neutrality,
@@ -33,20 +29,19 @@ from qmvote.axioms import (
     run_all_checks,
     unqualified_quota_contradiction,
 )
+from qmvote import verifier
 from qmvote.verifier import (
     SPACE_ANONYMOUS,
     SPACE_FULL,
     GuardError,
-    _Cells,
-    _base_graph,
-    _csr,
-    _profile_cells,
+    _grid_to_classes,
     enumerate_anonymous,
     enumerate_full,
     survivors_anonymous,
     survivors_full,
     verify_characterization,
 )
+from sweep_oracle import reference_profile_cells, sweep_survivors
 
 X, Y = Alternative.X, Alternative.Y
 P = Profile.from_string
@@ -139,34 +134,13 @@ def test_contradiction_not_applicable_for_qualified_quotas():
         unqualified_quota_contradiction(rule, 3, 2)
 
 
-# --- index tables -----------------------------------------------------------
-
-
-def reference_profile_cells(n):
-    """The full-space tables built through Profile objects and the
-    profile-level operations of ``core``."""
-    profiles = all_profiles(n)
-    nx = [tally(p).n_x for p in profiles]
-    ny = [tally(p).n_y for p in profiles]
-    support = [max(tally(p).n_x, tally(p).n_y) for p in profiles]
-    dual_idx = [dual(p).index for p in profiles]
-    xi, xt = _csr([[r.index for r in responsive_neighbors(p, X)] for p in profiles])
-    trans = [[permute(p, t).index for p in profiles] for t in adjacent_transpositions(n)]
-    return _Cells(len(profiles), nx, ny, support, dual_idx, xi, xt, trans)
-
-
-def test_arithmetic_profile_tables_match_the_profile_level_reference():
-    for n in range(1, 7):
-        cells, want = _profile_cells(n), reference_profile_cells(n)
-        assert cells.ncells == want.ncells == 3**n
-        for field in _Cells._fields[1:-1]:
-            assert list(getattr(cells, field)) == getattr(want, field), (n, field)
-        assert [list(column) for column in cells.trans] == want.trans, n
+# --- cell layouts -----------------------------------------------------------
 
 
 def test_moves_toward_y_are_the_moves_toward_x_reversed():
-    # the search and the sweep keep only the X-ward moves: each Y-ward move
-    # is an X-ward one taken backwards, so it gives the same clause
+    # the sweep keeps only the X-ward moves, and the search closes O along
+    # the Y-ward ones: each Y-ward move is an X-ward one taken backwards,
+    # so both give the same clause
     for n in range(1, 6):
         profiles = all_profiles(n)
         # (p, t) with t in responsive_neighbors(p, Y), and with p in
@@ -174,6 +148,15 @@ def test_moves_toward_y_are_the_moves_toward_x_reversed():
         toward_y = {(p, t) for p in profiles for t in responsive_neighbors(p, Y)}
         back_from_x = {(p, t) for t in profiles for p in responsive_neighbors(t, X)}
         assert toward_y == back_from_x, n
+
+
+def test_grid_cells_map_to_their_tally_classes():
+    # the anonymous search puts class (a, b) at grid bit a*(2n + 2) + b
+    for n in range(1, 9):
+        for a in range(n + 1):
+            for b in range(n + 1 - a):
+                grid = 1 << a * (2 * n + 2) + b
+                assert _grid_to_classes(n, grid) == 1 << tally_class_index(n, a, b), (n, a, b)
 
 
 # --- enumeration guard rails ------------------------------------------------
@@ -224,7 +207,7 @@ def test_survivor_cap_refuses_without_listing_solutions(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("solutions listed before the refusal")
 
-    monkeypatch.setattr(_twosat, "solutions", fail)
+    monkeypatch.setattr(verifier, "_solutions", fail)
     no_axioms = dict(use_neutrality=False, use_responsiveness=False)
     for n in (5, 8):
         with pytest.raises(GuardError, match="more than 65,536"):
@@ -374,8 +357,8 @@ def test_full_n3_window_scan_finds_exactly_the_quota_rule():
     from qmvote import _kernels
 
     enc = TableRule.from_rule(QualifiedMajorityRule(3, 2, X), 3).bits
-    cells = _profile_cells(3)
-    in_rq = (np.maximum(cells.nx, cells.ny) >= 2).astype(np.uint8)
+    cells = reference_profile_cells(3)
+    in_rq = (np.array(cells.support) >= 2).astype(np.uint8)
     found = _kernels.scan_rules(
         enc - 512,
         enc + 512,
@@ -389,7 +372,7 @@ def test_full_n3_window_scan_finds_exactly_the_quota_rule():
     assert [int(v) for v in found] == [enc]
 
 
-# --- the SAT engine against the sweep oracle --------------------------------
+# --- the search against the sweep oracle ----------------------------------
 
 AXIOM_SUBSETS = [
     dict(use_anonymity=a, use_responsiveness=r, use_neutrality=u)
@@ -437,7 +420,7 @@ def test_engines_agree_on_the_anonymous_spaces_n2_to_n5():
                     assert survivors_anonymous(n, q, **axioms) == list(want), (n, q, axioms)
 
 
-# --- the SAT engine against the profile-level checkers ----------------------
+# --- the search against the profile-level checkers ------------------------
 
 
 def assert_survivors_pass_the_checkers(n, rules, survivors, subsets):
@@ -466,111 +449,6 @@ def test_survivors_match_the_profile_level_checkers():
     for n in (2, 3):
         tables = [AnonymousTableRule(n, bits) for bits in range(2 ** num_tally_classes(n))]
         assert_survivors_pass_the_checkers(n, tables, survivors_anonymous, ANONYMOUS_SUBSETS)
-
-
-# --- the search against brute force on random 2-CNFs ------------------------
-
-
-@st.composite
-def two_cnfs(draw):
-    """(bits, clauses): each clause a pair of literals ``2*bit + value``,
-    self-clauses ``x or x`` included."""
-    nbits = draw(st.integers(1, 8))
-    literal = st.integers(0, 2 * nbits - 1)
-    clause = st.one_of(st.tuples(literal, literal), literal.map(lambda a: (a, a)))
-    return nbits, draw(st.lists(clause, max_size=16))
-
-
-@st.composite
-def neutralities(draw, nbits):
-    """(dual, support, q) for the search's q-neutrality lookup: a random
-    involution with fixed points, a support column constant on its pairs,
-    and a quota; or None for no neutrality. Supports run 0..3 and quotas
-    0..4, so fixed points fall inside R_q (a formula the search refuses
-    before branching) and outside it."""
-    if draw(st.booleans()):
-        return None
-    order = draw(st.permutations(range(nbits)))
-    pairs = draw(st.integers(0, nbits // 2))
-    dual = list(range(nbits))
-    support = [0] * nbits
-    for i in range(nbits - pairs):
-        k = order[i]
-        d = order[nbits - 1 - i] if i < pairs else k
-        dual[k], dual[d] = d, k
-        support[k] = support[d] = draw(st.integers(0, 3))
-    return dual, support, draw(st.integers(0, 4))
-
-
-def neutrality_clauses(dual, support, q):
-    """Bit k = v forces bit (dual k) = v xor (support[k] >= q), as the
-    clauses ``not (bit k = v) or (bit (dual k) = v xor r)``."""
-    return [
-        (2 * k + 1 - v, 2 * dual[k] + (v ^ (support[k] >= q)))
-        for k in range(len(dual))
-        for v in (0, 1)
-    ]
-
-
-def implication_graph(nbits, clauses):
-    """Each clause ``a or b`` as the edges ``not a => b`` and ``not b => a``."""
-    implied = [[] for _ in range(2 * nbits)]
-    for a, b in clauses:
-        implied[a ^ 1].append(b)
-        implied[b ^ 1].append(a)
-    return implied
-
-
-def brute_force_solutions(nbits, clauses):
-    def holds(encoding, literal):
-        return (encoding >> (literal >> 1)) & 1 == literal & 1
-
-    return [
-        encoding
-        for encoding in range(1 << nbits)
-        if all(holds(encoding, a) or holds(encoding, b) for a, b in clauses)
-    ]
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_twosat_solutions_match_brute_force(data):
-    nbits, clauses = data.draw(two_cnfs())
-    neutrality = data.draw(neutralities(nbits))
-    graph = implication_graph(nbits, clauses)
-    if neutrality is None:
-        found = _twosat.solutions(graph, 1 << nbits)
-    else:
-        dual, support, q = neutrality
-        found = _twosat.solutions(graph, 1 << nbits, dual=dual, support=support, q=q)
-        clauses = clauses + neutrality_clauses(dual, support, q)
-    assert found == brute_force_solutions(nbits, clauses)
-
-
-def test_twosat_dead_end_after_several_decisions():
-    # the descent decides bit 3 = 0 and then bit 2 = 0, which the clause
-    # on bits 2 and 3 allows; bit 1 then conflicts both ways, since each
-    # value forces bit 0 to be both 0 and 1
-    clauses = [(2, 0), (2, 1), (3, 0), (3, 1), (4, 6)]
-    assert brute_force_solutions(4, clauses) == []
-    assert _twosat.solutions(implication_graph(4, clauses), 16) == []
-    # without the first clause bit 1 = 1 and bit 0 = 1, and bits 2 and 3
-    # are not both 1
-    solutions = _twosat.solutions(implication_graph(4, clauses[1:]), 16)
-    assert solutions == brute_force_solutions(4, clauses[1:]) == [0b0011, 0b0111, 0b1011]
-
-
-def test_twosat_self_dual_bit_inside_the_quota_region_is_unsatisfiable():
-    # bit 0 is its own dual: with support 2 >= q it must equal its own
-    # negation, with support 2 < q it may be anything
-    empty = implication_graph(2, [])
-    dual, support = [0, 1], [2, 0]
-    for q in (0, 1, 2):
-        assert _twosat.solutions(empty, 4, dual=dual, support=support, q=q) == []
-    assert _twosat.solutions(empty, 4, dual=dual, support=support, q=3) == [0, 1, 2, 3]
-    # a second fixed point below q does not rescue the formula
-    assert _twosat.solutions(empty, 4, dual=dual, support=[2, 1], q=2) == []
-    assert brute_force_solutions(2, neutrality_clauses(dual, [2, 1], 2)) == []
 
 
 def quota_rule_encodings(cell_counts, q):
@@ -616,18 +494,15 @@ def test_sat_theorem_full_n8_under_the_plain_cap():
         assert survivors_full(8, q) == want, q
 
 
-def test_all_q_builds_the_base_graph_once():
-    from qmvote.cli import main
-
-    _base_graph.cache_clear()
-    assert main(["verify", "--n", "30", "--all-q", "--space", "anonymous"]) == 0
-    info = _base_graph.cache_info()
-    assert (info.misses, info.hits) == (1, 30)
-    # bounded: more spaces than slots evict the oldest graphs
-    for n in range(2, 8):
-        survivors_anonymous(n, n)
-    info = _base_graph.cache_info()
-    assert info.maxsize == 4 and info.currsize == 4
+def test_full_space_without_anonymity_keeps_the_two_quota_rules():
+    # observed, not a claim of the paper: at every qualified quota for
+    # n=2..8, responsiveness and q-neutrality alone leave exactly the two
+    # quota-q rules, which are anonymous anyway
+    for n in range(2, 9):
+        counts = full_cell_counts(n)
+        for q in range(n // 2 + 1, n + 1):
+            want = quota_rule_encodings(counts, q)
+            assert survivors_full(n, q, use_anonymity=False) == want, (n, q)
 
 
 def test_full_n3_long_run_theorem():
