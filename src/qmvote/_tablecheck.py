@@ -14,11 +14,13 @@ first violation is the lowest set bit:
   moves p to p + (a - b)*2*3^j. A differing pair is a violation at both
   ends, so the first one lies at the end with a > b. First by profile,
   then by j.
-* responsiveness: a move of voter i toward X goes to p + d*3^i, d read
-  off ``core._TOWARD_X``. Where X wins at p and loses at p + d*3^i, both
-  profiles violate: p by that move, and p + d*3^i by the move back toward
-  Y. So the X-ward moves alone give every violation, each at both ends.
-  First by profile, then voter, then move in the canonical neighbor order.
+* responsiveness: ``core._x_moves`` lists each move of voter i toward X
+  as the profiles ``held`` it starts from and the index change k it
+  makes. Where X wins at p and loses at p + k, both profiles violate: p
+  by that move, and p + k by the move back toward Y. So the X-ward moves
+  alone give every violation, each at both ends. First by profile, then
+  voter, then move in the canonical neighbor order, which the list
+  carries for both ends.
 * q-neutrality: ``dual(out)``, built by swapping digits 0 and 1 voter by
   voter, must differ from ``out`` exactly on R_q, the profiles where some
   alternative has q strict supporters; the violations are
@@ -29,8 +31,8 @@ tally, so their encodings are lifted from the tally classes voter by
 voter, two shifts and two ORs per class and voter. The reports,
 witnesses included, are those of ``axioms.run_all_checks``, which stays
 this module's oracle in the tests. No profile is evaluated and no big
-int is divided. The masks, the lift and the dual are ``core``'s, and
-``qmvote verify`` closes its search with the same ones.
+int is divided. The masks, the move list, the lift and the dual are
+``core``'s, and ``qmvote verify`` closes its search with the same ones.
 
 The report types, ``AxiomReport`` and ``Witness``, and the axiom names
 are defined here, where every ``check`` builds them; ``axioms`` imports
@@ -43,8 +45,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (
-    _TOWARD_X,
-    _TOWARD_Y,
     Alternative,
     FrozenValue,
     Profile,
@@ -52,14 +52,10 @@ from .core import (
     _dual,
     _lift,
     _voter_masks,
+    _x_moves,
     dual,
 )
-from .rules import (
-    AnonymousTableRule,
-    QualifiedMajorityRule,
-    TableRule,
-    tally_class_index,
-)
+from .rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
 
 ANONYMITY = "anonymity"
 RESPONSIVENESS = "responsiveness"
@@ -124,11 +120,9 @@ def _encoding(rule, n: int) -> int:
     if isinstance(rule, TableRule):
         return rule.bits
     if isinstance(rule, QualifiedMajorityRule):
-        if rule.reform is Alternative.Y:
-            return _lift(n, lambda nx, ny: ny >= rule.q)
-        return _lift(n, lambda nx, ny: nx < rule.q)
+        return _lift(n, rule.y_wins)
     if isinstance(rule, AnonymousTableRule):
-        return _lift(n, lambda nx, ny: rule.bits >> tally_class_index(n, nx, ny) & 1)
+        return rule.lift().bits
     raise TypeError(f"no output column for {type(rule).__name__}")
 
 
@@ -147,19 +141,13 @@ def _first_anonymity_violation(n: int, out: int, masks: list[int]) -> _Violation
 def _first_responsiveness_violation(n: int, out: int, masks: list[int]) -> _Violation:
     x_wins = ((1 << 3**n) - 1) ^ out
     first = None  # (profile, voter, move index, counterpart, winner)
-    for i in range(n):
-        s = 3**i
-        for a, moves in enumerate(_TOWARD_X):
-            held = (masks[i] << a * s) & x_wins if moves else 0
-            for move, d in enumerate(moves):
-                k = d * s
-                # X wins at p, Y at p + k, which is one move toward X from p
-                bad = held & (out >> k if k > 0 else out << -k)
-                if bad:
-                    p = _lowest(bad)
-                    back = _TOWARD_Y[a + d].index(-d)
-                    found = min((p, i, move, p + k, 0), (p + k, i, back, p, 1))
-                    first = found if first is None else min(first, found)
+    for held, k, i, move, back in _x_moves(n, masks):
+        # X wins at p, Y at p + k, which is one move toward X from p
+        bad = held & x_wins & (out >> k if k > 0 else out << -k)
+        if bad:
+            p = _lowest(bad)
+            found = min((p, i, move, p + k, 0), (p + k, i, back, p, 1))
+            first = found if first is None else min(first, found)
     return None if first is None else (first[0], first[3], first[4])
 
 

@@ -262,12 +262,13 @@ def verify(args) -> int:
 
 def enumerate_cmd(args) -> int:
     """Like verify for one quota, but include each survivor's full table."""
-    from .verifier import decode_rule
+    from .rules import AnonymousTableRule, TableRule
 
     result = _run_enumerations(args.n, [args.q], args.space)[0]
     doc = result.to_json_dict(include_timing=not args.no_timing)
+    table = TableRule if args.space == SPACE_FULL else AnonymousTableRule
     for entry in doc["survivors"]:
-        entry["table"] = decode_rule(args.space, args.n, entry["encoding"]).to_line()
+        entry["table"] = table(args.n, entry["encoding"]).to_line()
     _emit(doc)
     return EXIT_OK if result.matches_theorem else EXIT_FAILED
 

@@ -15,6 +15,9 @@ and ``qmvote verify`` share: a set of profiles is one int of 3^n bits,
 bit p standing for the profile of canonical index p, and every axiom
 instance pairs p with p + k for a k read off p's base-3 digits. So each
 axiom is a few masked shifts of such a set, and no profile is built.
+Responsiveness is one table of single-voter moves toward X, listed per
+voter by ``_x_moves``; the moves toward Y are the same moves taken
+backwards, so ``check`` and ``verify`` read both off that one list.
 
 Canonical profile numbering: a profile is read as a base-3 integer whose
 digit for voter 0 is least significant, with digit encoding STRICT_X=0,
@@ -299,12 +302,15 @@ def responsive_neighbors(profile: Profile, winner: Alternative) -> tuple[Profile
     return tuple(out)
 
 
-# Per digit of a voter (0 = STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT), the
-# digit changes of that voter's moves toward X and toward Y, in the order
-# of responsive_neighbors. A move of voter i changes the profile index by
-# the change times 3^i.
-_TOWARD_X = ((), (1, -1), (-2,))
-_TOWARD_Y = ((2, 1), (), (-1,))
+# The moves of one voter toward X, as (digit, change, move, back), with
+# digits 0 = STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT: a voter holding
+# ``digit`` moves to ``digit + change``, and that is the voter's
+# ``move``-th move in responsive_neighbors(p, X). Taken backwards, from
+# ``digit + change`` to ``digit``, it is the voter's ``back``-th move in
+# responsive_neighbors(., Y), and every move toward Y is one of these
+# taken backwards. A move of voter i changes the profile index by the
+# change times 3^i.
+_TOWARD_X = ((1, 1, 0, 0), (1, -1, 1, 1), (2, -2, 0, 0))
 
 
 def _voter_masks(n: int) -> list[int]:
@@ -322,20 +328,32 @@ def _voter_masks(n: int) -> list[int]:
     return masks
 
 
-def _anonymity_pairs(n: int, masks: list[int]) -> list[tuple[int, int]]:
+def _x_moves(n: int, masks: list[int]) -> Iterator[tuple[int, int, int, int, int]]:
+    """(held, k, voter, move, back) per voter i and row of ``_TOWARD_X``,
+    in canonical witness order (voter, then move): ``held`` the profiles
+    where voter i holds the row's digit, and k the index change of the
+    move, so the move goes from p to p + k for every p in ``held``. A
+    generator: at n=15 each ``held`` is a 1.8 MB int, so a list of all
+    3n of them would set the peak memory of a ``check`` call."""
+    for i in range(n):
+        s = 3**i
+        for digit, change, move, back in _TOWARD_X:
+            yield masks[i] << digit * s, change * s, i, move, back
+
+
+def _anonymity_pairs(n: int, masks: list[int]) -> Iterator[tuple[int, int]]:
     """(held, k) per adjacent voter pair j, j+1, in order of j: ``held``
     the profiles where voters j and j+1 hold digits a > b, and k =
     (a - b)*2*3^j, the index change of swapping the two. Anonymity asks
     the same winner at p and p + k for every p in ``held``; a pair of
-    equal digits swaps to itself, so these are all its instances."""
-    pairs = []
+    equal digits swaps to itself, so these are all its instances. A
+    generator, as ``_x_moves`` is."""
     for j in range(n - 1):
         s = 3**j
         one, two = masks[j] << s, masks[j] << 2 * s  # voter j holds 1, 2
         next_zero, next_one = masks[j + 1], masks[j + 1] << 3 * s  # voter j + 1 holds 0, 1
-        pairs.append((one & next_zero | two & next_one, 2 * s))
-        pairs.append((two & next_zero, 4 * s))
-    return pairs
+        yield one & next_zero | two & next_one, 2 * s
+        yield two & next_zero, 4 * s
 
 
 def _lift(n: int, y_wins) -> int:

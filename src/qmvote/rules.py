@@ -18,6 +18,7 @@ from .core import (
     Alternative,
     FrozenValue,
     Profile,
+    _lift,
     all_profiles,
     is_qualified,
     tally,
@@ -103,9 +104,16 @@ class QualifiedMajorityRule(FrozenValue):
     def evaluate(self, profile: Profile) -> Alternative:
         if profile.n != self.n:
             raise ValueError(f"rule is for n={self.n}, profile has n={profile.n}")
-        if tally(profile).count_for(self.reform) >= self.q:
-            return self.reform
-        return self.reform.other
+        t = tally(profile)
+        return Alternative.Y if self.y_wins(t.n_x, t.n_y) else Alternative.X
+
+    def y_wins(self, n_x: int, n_y: int) -> bool:
+        """The rule on tallies: True iff Y wins with n_x strict X and n_y
+        strict Y supporters, that is, iff the reform's supporters reach
+        the quota under reform Y, and fall short of it under reform X."""
+        if self.reform is Alternative.Y:
+            return n_y >= self.q
+        return n_x < self.q
 
     def pretty(self) -> str:
         return f"sigma_{self.q}^{self.reform.value}"
@@ -175,8 +183,10 @@ class AnonymousTableRule(FrozenValue):
         return Alternative.Y if (self.bits >> k) & 1 else Alternative.X
 
     def lift(self) -> TableRule:
-        """The same rule as a profile-indexed table."""
-        return TableRule.from_rule(self, self.n)
+        """The same rule as a profile-indexed table, lifted from the tally
+        classes voter by voter, with no profile evaluated."""
+        n, bits = self.n, self.bits
+        return TableRule(n, _lift(n, lambda nx, ny: bits >> tally_class_index(n, nx, ny) & 1))
 
     def to_line(self) -> str:
         return _table_line(self.bits, num_tally_classes(self.n))

@@ -12,17 +12,21 @@ the axioms are the solutions of a 2-CNF over cell bits (1 = Y wins). The
 search holds a partial rule as two sets of cells, Z where X is fixed and
 O where Y is, each one int with a bit per cell. It closes them under
 every instance at once with the masked shifts ``qmvote check`` applies
-to a whole rule (``core``'s voter masks, anonymity pairs, lift and
-dual), and branches on a free cell only once the closure is done. So it
-never visits the rules that fail, its cost follows the cell count, and
-``rules_examined`` still reports the 2^cells rules the space holds. It
-is guarded by a cell cap and a survivor cap; a call past the survivor
-cap, which only a call that drops axioms can reach, is refused at every
-n.
+to a whole rule (``core``'s voter masks, move list, anonymity pairs,
+lift and dual), and branches on a free cell only once the closure is
+done. So it never visits the rules that fail, its cost follows the cell
+count, and ``rules_examined`` still reports the 2^cells rules the space
+holds. It is guarded by a cell cap and a survivor cap; a call past the
+survivor cap, which only a call that drops axioms can reach, is refused
+at every n.
 
-The full space's cells are the canonical profile indices, as in
-``check``; the anonymous space's are the tally classes, laid out on a
-grid (``_AnonymousSpace``). This module imports nothing profile-level:
+Each space is one class, chosen once through ``_SPACES``: ``_FullSpace``,
+whose cells are the canonical profile indices, as in ``check``, and
+``_AnonymousSpace``, whose cells are the tally classes, laid out on a
+grid. Only the class knows its space: its name, its cell count, its
+clauses and the encodings of the quota rules in it. ``_survivors`` runs
+the guards and the search in either, and ``_build_result`` reads the
+report off the space. This module imports nothing profile-level:
 the profile-level checkers and the balanced-profile argument for
 2q <= n live in ``axioms``, which ``verify`` and ``enumerate`` never
 load. The tests check the search against a sweep of every encoding and
@@ -34,21 +38,15 @@ from __future__ import annotations
 import time
 
 from .core import (
-    _TOWARD_X,
-    _TOWARD_Y,
     Alternative,
     FrozenValue,
     _anonymity_pairs,
     _dual,
     _lift,
     _voter_masks,
+    _x_moves,
 )
-from .rules import (
-    AnonymousTableRule,
-    TableRule,
-    num_tally_classes,
-    qualified_majority_rules,
-)
+from .rules import num_tally_classes, qualified_majority_rules
 
 SPACE_FULL = "full"
 SPACE_ANONYMOUS = "anonymous"
@@ -68,69 +66,49 @@ class GuardError(ValueError):
     """Raised when an enumeration would be infeasibly large."""
 
 
-def _num_cells(space: str, n: int) -> int:
-    return 3**n if space == SPACE_FULL else num_tally_classes(n)
-
-
 def _guard_voters(n: int) -> None:
     if n < 2:
         raise GuardError("rule-space verification needs at least two voters")
 
 
-def _guard_cells(space: str, n: int) -> None:
+def _guard_cells(space, n: int) -> None:
     _guard_voters(n)
-    where = f"{space} space at n={n}"
+    where = f"{space.name} space at n={n}"
     # past n=200 either space is far over the cap (anonymous: 20,301 cells),
     # so the count, 3^n for the full space, is neither computed nor printed
     if n <= 200:
-        cells = _num_cells(space, n)
+        cells = space.cells(n)
         if cells <= _MAX_CELLS:
             return
         where += f" has {cells:,} cells,"
-    other = "; use the anonymous space" if space == SPACE_FULL else ""
-    raise GuardError(f"{where} past the {_MAX_CELLS:,}-cell limit{other}")
-
-
-def _move_steps(n: int, masks: list[int], toward) -> list[tuple[int, tuple[int, ...]]]:
-    """(held, shifts) per voter i and digit a with moves in ``toward``:
-    ``held`` the profiles where voter i holds a, and the index change of
-    each of that digit's moves. Digits come in order 0, 1, 2, so each
-    voter's moves close in one pass: toward X, 1 -> 2 comes before 2 -> 0,
-    and toward Y, 0 -> 2 before 2 -> 1."""
-    steps = []
-    for i in range(n):
-        s = 3**i
-        for a, moves in enumerate(toward):
-            if moves:
-                steps.append((masks[i] << a * s, tuple(d * s for d in moves)))
-    return steps
-
-
-def _moved(cells: int, steps) -> int:
-    """``cells`` and every cell the moves of ``steps`` reach from them."""
-    for held, shifts in steps:
-        here = cells & held
-        for k in shifts:
-            cells |= here << k if k > 0 else here >> -k
-    return cells
+    raise GuardError(f"{where} past the {_MAX_CELLS:,}-cell limit{space.past_cap}")
 
 
 class _FullSpace:
     """The full space's clauses as masked shifts of 3^n-bit sets. A state
     is (Z, O), closed under the clauses, and O is the encoding."""
 
+    name = SPACE_FULL
+    past_cap = "; use the anonymous space"
     root = (0, 0)
+
+    @staticmethod
+    def cells(n: int) -> int:
+        return 3**n
 
     def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
         masks = _voter_masks(n)
         self.n, self.masks = n, masks
         self.valid = (1 << 3**n) - 1
-        self.toward_x = _move_steps(n, masks, _TOWARD_X) if responsiveness else []
-        self.toward_y = _move_steps(n, masks, _TOWARD_Y) if responsiveness else []
-        self.pairs = _anonymity_pairs(n, masks) if anonymity else []
+        # (held, k): each move toward X goes from p in held to p + k
+        self.moves = [move[:2] for move in _x_moves(n, masks)] if responsiveness else []
+        self.pairs = list(_anonymity_pairs(n, masks)) if anonymity else []
         self.neutrality = neutrality
         self.in_rq = _lift(n, lambda a, b: max(a, b) >= q)
         self.out_rq = self.valid ^ self.in_rq
+
+    def rule_encoding(self, rule) -> int:
+        return _lift(self.n, rule.y_wins)
 
     @staticmethod
     def pick(free: int) -> int:
@@ -149,7 +127,15 @@ class _FullSpace:
         in_rq, out_rq = self.in_rq, self.out_rq
         while True:
             before = z, o
-            z, o = _moved(z, self.toward_x), _moved(o, self.toward_y)
+            # X wins where a move toward X leads from an X cell, and Y wins
+            # where one leads to a Y cell. Each voter's moves close in one
+            # pass: toward X, 1 -> 2 comes before 2 -> 0, and, walking the
+            # list backwards, toward Y 0 -> 2 before 2 -> 1.
+            for held, k in self.moves:
+                here = z & held
+                z |= here << k if k > 0 else here >> -k
+            for held, k in reversed(self.moves):
+                o |= (o >> k if k > 0 else o << -k) & held
             for held, k in self.pairs:
                 z |= (z & held) << k | (z >> k) & held
                 o |= (o & held) << k | (o >> k) & held
@@ -209,15 +195,28 @@ class _AnonymousSpace:
     transposes of Z and O. O, mapped to tally-class order, is the
     encoding."""
 
+    name = SPACE_ANONYMOUS
+    past_cap = ""
     root = (0, 0, 0, 0)
+    cells = staticmethod(num_tally_classes)
 
-    def __init__(self, n: int, q: int, responsiveness: bool, neutrality: bool):
+    def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
+        # anonymity holds for every rule of this space by construction
         self.n, self.w = n, 2 * n + 2
         self.valid = _grid(n, lambda a, row: row)
         self.responsiveness, self.neutrality = responsiveness, neutrality
         # R_q: all of row a when a >= q, its cells b >= q otherwise
         self.in_rq = _grid(n, lambda a, row: row if a >= q else row >> q << q)
         self.out_rq = self.valid ^ self.in_rq
+
+    def rule_encoding(self, rule) -> int:
+        """The quota rule's ``y_wins`` as whole grid rows: Y wins at the cells
+        b >= q of every row under reform Y, and in the rows a < q under
+        reform X. Over all quotas at n=165 this took 0.07 s in-process on
+        2 vCPUs, and one ``y_wins`` call per class 0.7-1.7 s."""
+        q, y_reform = rule.q, rule.reform is Alternative.Y
+        rows = (lambda a, row: row >> q << q) if y_reform else (lambda a, row: row * (a < q))
+        return _grid_to_classes(self.n, _grid(self.n, rows))
 
     @staticmethod
     def pick(free: int) -> int:
@@ -264,6 +263,9 @@ class _AnonymousSpace:
                 return z, o, zd, od
 
 
+_SPACES = {SPACE_FULL: _FullSpace, SPACE_ANONYMOUS: _AnonymousSpace}
+
+
 def _solutions(space, limit: int) -> list[int]:
     """Ascending encodings of the space's solutions, stopping once ``limit``
     have been found; empty when there is none.
@@ -289,37 +291,27 @@ def _solutions(space, limit: int) -> list[int]:
     return sorted(found)
 
 
-def _scan_space(
-    space: str,
-    n: int,
-    q: int,
-    *,
-    want_neutrality: bool,
-    want_responsiveness: bool,
-    want_anonymity: bool,
-) -> tuple[int, list[int]]:
-    """(2^cells, ascending encodings of the rules passing the selected axioms)."""
+def _survivors(
+    space, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool
+) -> tuple[object, list[int]]:
+    """(the space's clauses at n and q, ascending encodings of the rules
+    passing the selected axioms), guarded by the cell and survivor caps."""
+    _guard_cells(space, n)
     if not 0 <= q <= n:
         raise ValueError(f"quota must lie in 0..{n}, got {q}")
-    cells = _num_cells(space, n)
     # with no axiom selected all 2^cells rules pass, so a count past the cap
     # is known without listing them
-    every_rule = not (want_neutrality or want_responsiveness or want_anonymity)
-    if every_rule and 1 << cells > _MAX_SURVIVORS:
-        survivors = None
-    elif space == SPACE_FULL:
-        clauses = _FullSpace(n, q, want_anonymity, want_responsiveness, want_neutrality)
+    every_rule = not (anonymity or responsiveness or neutrality)
+    if not (every_rule and 1 << space.cells(n) > _MAX_SURVIVORS):
+        clauses = space(n, q, anonymity, responsiveness, neutrality)
         survivors = _solutions(clauses, _MAX_SURVIVORS + 1)
-    else:
-        clauses = _AnonymousSpace(n, q, want_responsiveness, want_neutrality)
-        survivors = _solutions(clauses, _MAX_SURVIVORS + 1)
-    if survivors is None or len(survivors) > _MAX_SURVIVORS:
-        # only a call that drops axioms gets here
-        raise GuardError(
-            f"more than {_MAX_SURVIVORS:,} rules of the {space} space at n={n} "
-            "pass the selected axioms; select more axioms"
-        )
-    return 1 << cells, survivors
+        if len(survivors) <= _MAX_SURVIVORS:
+            return clauses, survivors
+    # only a call that drops axioms gets here
+    raise GuardError(
+        f"more than {_MAX_SURVIVORS:,} rules of the {space.name} space at n={n} "
+        "pass the selected axioms; select more axioms"
+    )
 
 
 def survivors_full(
@@ -331,16 +323,7 @@ def survivors_full(
     use_neutrality: bool = True,
 ) -> list[int]:
     """Encodings of the full-space rules passing the selected axioms."""
-    _guard_cells(SPACE_FULL, n)
-    _, survivors = _scan_space(
-        SPACE_FULL,
-        n,
-        q,
-        want_neutrality=use_neutrality,
-        want_responsiveness=use_responsiveness,
-        want_anonymity=use_anonymity,
-    )
-    return survivors
+    return _survivors(_FullSpace, n, q, use_anonymity, use_responsiveness, use_neutrality)[1]
 
 
 def survivors_anonymous(
@@ -354,16 +337,7 @@ def survivors_anonymous(
 
     Anonymity itself holds for every rule of this space by construction.
     """
-    _guard_cells(SPACE_ANONYMOUS, n)
-    _, survivors = _scan_space(
-        SPACE_ANONYMOUS,
-        n,
-        q,
-        want_neutrality=use_neutrality,
-        want_responsiveness=use_responsiveness,
-        want_anonymity=False,
-    )
-    return survivors
+    return _survivors(_AnonymousSpace, n, q, False, use_responsiveness, use_neutrality)[1]
 
 
 class SurvivorInfo(FrozenValue):
@@ -407,34 +381,14 @@ class VerificationResult(FrozenValue):
         return doc
 
 
-def decode_rule(space: str, n: int, encoding: int):
-    if space == SPACE_FULL:
-        return TableRule(n, encoding)
-    return AnonymousTableRule(n, encoding)
-
-
-def _expected_named(space: str, n: int, q: int) -> dict[int, str]:
-    """Canonical encodings of the quota-q qualified majority rules: Y wins
-    where n_x < q under reform X, and where n_y >= q under reform Y."""
-    named = {}
-    for rule in qualified_majority_rules(n, q):
-        y_reform = rule.reform is Alternative.Y
-        if space == SPACE_FULL:
-            encoding = _lift(n, (lambda a, b: b >= q) if y_reform else (lambda a, b: a < q))
-        else:
-            rows = (lambda a, row: row >> q << q) if y_reform else (lambda a, row: row * (a < q))
-            encoding = _grid_to_classes(n, _grid(n, rows))
-        named[encoding] = rule.pretty()
-    return named
-
-
-def _build_result(
-    space: str, n: int, q: int, examined: int, survivors: list[int], elapsed_ms: float
-) -> VerificationResult:
+def _build_result(clauses, q: int, survivors: list[int], elapsed_ms: float) -> VerificationResult:
     """The report for one quota. Table encodings are canonical (one per rule
     as a function), so the theorem holds iff the survivor encodings are
     exactly those of the quota-q rules."""
-    names = _expected_named(space, n, q)
+    n = clauses.n
+    names = {
+        clauses.rule_encoding(rule): rule.pretty() for rule in qualified_majority_rules(n, q)
+    }
     # the decimal label of a large encoding is costly, so only an unnamed
     # survivor gets one
     infos = tuple(
@@ -444,8 +398,8 @@ def _build_result(
     return VerificationResult(
         n=n,
         q=q,
-        space=space,
-        rules_examined=examined,
+        space=clauses.name,
+        rules_examined=1 << clauses.cells(n),
         survivors=infos,
         matches_theorem=sorted(survivors) == sorted(names),
         elapsed_ms=elapsed_ms,
@@ -454,7 +408,7 @@ def _build_result(
 
 def enumerate_full(n: int, q: int) -> VerificationResult:
     """Decide all 2^(3^n) profile tables and intersect the three axiom sets."""
-    return _enumerate(SPACE_FULL, n, q)
+    return _enumerate(_FullSpace, n, q)
 
 
 def enumerate_anonymous(n: int, q: int) -> VerificationResult:
@@ -464,26 +418,18 @@ def enumerate_anonymous(n: int, q: int) -> VerificationResult:
     intersected axioms, and every anonymous rule has exactly one tally
     table representative.
     """
-    return _enumerate(SPACE_ANONYMOUS, n, q)
+    return _enumerate(_AnonymousSpace, n, q)
 
 
-def _enumerate(space: str, n: int, q: int) -> VerificationResult:
-    _guard_cells(space, n)
+def _enumerate(space, n: int, q: int) -> VerificationResult:
     start = time.perf_counter()
-    examined, survivors = _scan_space(
-        space,
-        n,
-        q,
-        want_neutrality=True,
-        want_responsiveness=True,
-        want_anonymity=space == SPACE_FULL,
-    )
+    clauses, survivors = _survivors(space, n, q, True, True, True)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return _build_result(space, n, q, examined, survivors, elapsed_ms)
+    return _build_result(clauses, q, survivors, elapsed_ms)
 
 
 def verify_characterization(n: int, q: int, space: str = SPACE_FULL) -> bool:
     """True iff the enumeration at this single q matches the expected rule set."""
-    if space not in (SPACE_FULL, SPACE_ANONYMOUS):
+    if space not in _SPACES:
         raise ValueError(f"unknown space {space!r}")
-    return _enumerate(space, n, q).matches_theorem
+    return _enumerate(_SPACES[space], n, q).matches_theorem

@@ -56,7 +56,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module", autouse=True)
-def warm_jit():
+def warm_search():
     # search each space once at n=2 so that timed sections measure warm code
     survivors_anonymous(2, 0)
     enumerate_full(2, 0)
@@ -85,7 +85,7 @@ def test_full_space_n2_exactly_the_two_quota_rules():
     for reform in (X, Y):
         want = QualifiedMajorityRule(2, 2, reform)
         assert sum(rules_equal(d, want, 2) for d in decoded) == 1
-    assert elapsed < 1.0, f"full n=2 sweep took {elapsed:.2f}s"
+    assert elapsed < 1.0, f"full n=2 search took {elapsed:.2f}s"
 
 
 def test_anonymous_spaces_n2_to_n5_match_expected_rule_sets():
@@ -267,7 +267,7 @@ def test_table_level_check_matches_on_perturbed_n7_quota_rules():
             assert_same_reports(TableRule(n, bits ^ 1 << flipped), n, q)
 
 
-def test_verify_reports_identical_across_worker_counts():
+def test_verify_reports_the_survivors_of_the_sweep_oracle():
     """verify reports, per quota, the survivors the sweep oracle finds."""
     out = run_cli("verify", "--n", "4", "--all-q", "--space", "anonymous", "--no-timing")
     assert out.returncode == 0

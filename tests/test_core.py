@@ -17,6 +17,8 @@ from qmvote.core import (
     responsive_neighbors,
     supporters,
     tally,
+    _voter_masks,
+    _x_moves,
 )
 
 X, Y = Alternative.X, Alternative.Y
@@ -204,6 +206,29 @@ def test_neighbors_match_displacement_oracle_exhaustively(n):
     for p in all_profiles(n):
         for winner in (X, Y):
             assert set(responsive_neighbors(p, winner)) == eq3_displacement_oracle(p, winner)
+
+
+def voter_moves(profile, winner, i):
+    """Voter i's moves toward ``winner`` from ``profile``, in canonical order."""
+    return [t for t in responsive_neighbors(profile, winner) if t.voters[i] != profile.voters[i]]
+
+
+def test_move_table_reads_the_profile_level_moves_both_ways():
+    # each row of _x_moves, read forwards, is voter i's move-th move toward
+    # X, and backwards, voter i's back-th move toward Y; the rows list every
+    # move toward X once, in canonical witness order at each profile
+    for n in range(1, 5):
+        order = {p: [] for p in range(3**n)}
+        for held, k, i, move, back in _x_moves(n, _voter_masks(n)):
+            for p in order:
+                if held >> p & 1:
+                    at, to = Profile.from_index(n, p), Profile.from_index(n, p + k)
+                    assert voter_moves(at, X, i)[move] == to, (n, p, i, move)
+                    assert voter_moves(to, Y, i)[back] == at, (n, p, i, back)
+                    order[p].append((i, move))
+        for p, rows in order.items():
+            assert rows == sorted(rows), (n, p)
+            assert len(rows) == len(responsive_neighbors(Profile.from_index(n, p), X)), (n, p)
 
 
 def test_neighbor_tally_moves():

@@ -1,6 +1,6 @@
 import pytest
 
-from qmvote.core import Alternative, Profile, all_profiles, dual, tally
+from qmvote.core import Alternative, Profile, _lift, all_profiles, dual, qualified_quotas, tally
 from qmvote.rules import (
     AnonymousTableRule,
     QualifiedMajorityRule,
@@ -72,6 +72,12 @@ def test_table_encoding_of_quota_rule_agrees_everywhere():
         assert table.evaluate(p) is rule.evaluate(p)
     # only the all-X profile (index 0) elects X, so every other bit is set
     assert table.bits == 510
+    # the rule on tallies, lifted, is the table of the rule on profiles
+    for n in range(1, 7):
+        for q in qualified_quotas(n):
+            for reform in (X, Y):
+                rule = QualifiedMajorityRule(n, q, reform)
+                assert _lift(n, rule.y_wins) == TableRule.from_rule(rule, n).bits, (n, q, reform)
 
 
 def test_table_rule_bits_range():
@@ -94,6 +100,14 @@ def test_lift_preserves_the_function():
     rule = AnonymousTableRule(3, 0b0101101001)
     lifted = rule.lift()
     assert rules_equal(rule, lifted, 3)
+    # every anonymous table at n=1, 2 and a spread at n=3, against the
+    # table of its own evaluation on every profile
+    tables = [
+        AnonymousTableRule(n, bits) for n in (1, 2) for bits in range(2 ** num_tally_classes(n))
+    ]
+    tables += [AnonymousTableRule(3, bits) for bits in range(0, 2**10, 37)]
+    for table in tables:
+        assert table.lift() == TableRule.from_rule(table, table.n), table
 
 
 def test_rules_equal():

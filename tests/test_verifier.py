@@ -9,6 +9,7 @@ from qmvote.core import (
     all_profiles,
     dual,
     permute,
+    qualified_quotas,
     responsive_neighbors,
     tally,
 )
@@ -17,6 +18,7 @@ from qmvote.rules import (
     QualifiedMajorityRule,
     TableRule,
     num_tally_classes,
+    qualified_majority_rules,
     rules_equal,
     tally_class_index,
     threshold_table_rule,
@@ -467,6 +469,23 @@ def full_cell_counts(n):
     return counts
 
 
+def anonymous_cell_counts(n):
+    return [(nx, ny) for nx in range(n + 1) for ny in range(n + 1 - nx)]
+
+
+def test_each_space_encodes_the_quota_rules_as_their_cell_counts_do():
+    spaces = (
+        (verifier._FullSpace, full_cell_counts),
+        (verifier._AnonymousSpace, anonymous_cell_counts),
+    )
+    for n in range(1, 7):
+        for q in qualified_quotas(n):
+            for space, cell_counts in spaces:
+                clauses = space(n, q, True, True, True)
+                found = sorted(map(clauses.rule_encoding, qualified_majority_rules(n, q)))
+                assert found == quota_rule_encodings(cell_counts(n), q), (space.name, n, q)
+
+
 def test_sat_theorem_full_n3_to_n5():
     for n in range(3, 6):
         counts = full_cell_counts(n)
@@ -480,7 +499,7 @@ def test_sat_theorem_full_n3_to_n5():
 
 def test_sat_theorem_anonymous_n6_to_n20():
     for n in range(6, 21):
-        counts = [(nx, ny) for nx in range(n + 1) for ny in range(n + 1 - nx)]
+        counts = anonymous_cell_counts(n)
         for q in range(n + 1):
             want = quota_rule_encodings(counts, q) if 2 * q > n else []
             assert survivors_anonymous(n, q) == want, (n, q)
@@ -505,14 +524,14 @@ def test_full_space_without_anonymity_keeps_the_two_quota_rules():
             assert survivors_full(n, q, use_anonymity=False) == want, (n, q)
 
 
-def test_full_n3_long_run_theorem():
+def test_full_n3_theorem_every_quota():
     for q in range(4):
         result = enumerate_full(3, q)
         assert result.rules_examined == 2**27
         assert result.matches_theorem
 
 
-def test_anonymous_n6_long_run_theorem():
+def test_anonymous_n6_theorem_every_quota():
     for q in range(7):
         result = enumerate_anonymous(6, q)
         assert result.rules_examined == 2**28
@@ -536,7 +555,7 @@ def test_full_n3_long_run_theorem_sweep():
     reason="anonymous n=6 sweep is behind QMVOTE_LONG_TESTS=1",
 )
 def test_anonymous_n6_long_run_theorem_sweep():
-    counts = [(nx, ny) for nx in range(7) for ny in range(7 - nx)]
+    counts = anonymous_cell_counts(6)
     for q in range(7):
         want = quota_rule_encodings(counts, q) if 2 * q > 6 else []
         found = sweep_survivors(SPACE_ANONYMOUS, 6, q)
