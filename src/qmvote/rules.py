@@ -242,11 +242,14 @@ def threshold_table_rule(n: int, min_support: int, reform: Alternative) -> Anony
     """
     if not 0 <= min_support <= n + 1:
         raise ValueError(f"threshold must lie in 0..{n + 1}, got {min_support}")
+    # one row of classes (n_x, 0..n - n_x) at a time, the last row highest:
+    # Y wins at n_y >= min_support under reform Y, in rows n_x < min_support under X
     bits = 0
-    for k, (nx, ny) in enumerate(tally_classes(n)):
-        support = nx if reform is Alternative.X else ny
-        wins = support >= min_support
-        y_wins = (reform is Alternative.Y) == wins
-        if y_wins:
-            bits |= 1 << k
+    for nx in range(n, -1, -1):
+        row = (1 << n - nx + 1) - 1
+        if reform is Alternative.Y:
+            row = row >> min_support << min_support
+        elif nx >= min_support:
+            row = 0
+        bits = bits << n - nx + 1 | row
     return AnonymousTableRule(n, bits)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import time
 
 from .core import (
-    Alternative,
     FrozenValue,
     _anonymity_pairs,
     _dual,
@@ -46,7 +45,7 @@ from .core import (
     _voter_masks,
     _x_moves,
 )
-from .rules import num_tally_classes, qualified_majority_rules
+from .rules import num_tally_classes, qualified_majority_rules, threshold_table_rule
 
 SPACE_FULL = "full"
 SPACE_ANONYMOUS = "anonymous"
@@ -210,13 +209,7 @@ class _AnonymousSpace:
         self.out_rq = self.valid ^ self.in_rq
 
     def rule_encoding(self, rule) -> int:
-        """The quota rule's ``y_wins`` as whole grid rows: Y wins at the cells
-        b >= q of every row under reform Y, and in the rows a < q under
-        reform X. Over all quotas at n=165 this took 0.07 s in-process on
-        2 vCPUs, and one ``y_wins`` call per class 0.7-1.7 s."""
-        q, y_reform = rule.q, rule.reform is Alternative.Y
-        rows = (lambda a, row: row >> q << q) if y_reform else (lambda a, row: row * (a < q))
-        return _grid_to_classes(self.n, _grid(self.n, rows))
+        return threshold_table_rule(self.n, rule.q, rule.reform).bits
 
     @staticmethod
     def pick(free: int) -> int:

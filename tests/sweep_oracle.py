@@ -5,7 +5,10 @@ profile-level operations of ``core``.
 The tests compare the verifier's search with it. The search reads the
 axioms as masked shifts of bitsets; the tables here are built one
 profile at a time from ``dual``, ``responsive_neighbors`` and
-``permute``, so the two share no code beyond the profile numbering.
+``permute``, so the two share no code beyond the profile numbering. The
+kernel tests 2^20 encodings at once as bit-sliced ints, with the
+standard library alone, so the largest sweeps, full n=3 (2^27 rules)
+and anonymous n=6 (2^28), take seconds.
 """
 
 from typing import NamedTuple
@@ -78,7 +81,7 @@ def sweep_survivors(space, n, q, **checks):
         raise ValueError(f"quota must lie in 0..{n}, got {q}")
     cells = reference_profile_cells(n) if space == SPACE_FULL else reference_tally_cells(n)
     checks = {"want_anonymity": space == SPACE_FULL, **checks}
-    found = scan_rules(
+    return scan_rules(
         0,
         1 << cells.ncells,
         [int(s >= q) for s in cells.support],
@@ -88,4 +91,3 @@ def sweep_survivors(space, n, q, **checks):
         cells.trans,
         **checks,
     )
-    return found.tolist()

@@ -5,14 +5,15 @@ per criterion. Time budgets are asserted inside the tests; the warmup
 fixture keeps first-call costs out of the timed sections.
 """
 
+import itertools
 import json
+import operator
 import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qmvote.core import (
@@ -181,23 +182,20 @@ def test_checker_cross_validation():
             == check_anonymity_all_permutations(rule, 2).passed
         )
 
-    # 10,000 seeded random n=4 tables against a vectorized all-permutation oracle
-    rng = np.random.default_rng(20251120)
-    table_bits = rng.integers(0, 2, size=(10000, 81), dtype=np.uint8)
-    import itertools
-
+    # 10,000 seeded random n=4 tables against an all-permutation oracle:
+    # each map reads a table's bits at the permuted profiles' indices
+    rng = random.Random(20251120)
     profiles = all_profiles(4)
-    perm_maps = []
-    for perm in itertools.permutations(range(4)):
-        if perm == (0, 1, 2, 3):
-            continue
-        perm_maps.append(np.array([permute(p, perm).index for p in profiles]))
-    full_anonymous = np.ones(len(table_bits), dtype=bool)
-    for pmap in perm_maps:
-        full_anonymous &= ~(table_bits != table_bits[:, pmap]).any(axis=1)
-    for row, oracle_verdict in zip(table_bits, full_anonymous):
-        bits = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        assert check_anonymity(TableRule(4, bits), 4).passed == bool(oracle_verdict)
+    perm_maps = [
+        operator.itemgetter(*(permute(p, perm).index for p in profiles))
+        for perm in itertools.permutations(range(4))
+        if perm != (0, 1, 2, 3)
+    ]
+    for _ in range(10000):
+        bits = rng.getrandbits(81)
+        row = tuple(format(bits, "081b")[::-1])  # row[k] is bit k
+        oracle_verdict = all(pmap(row) == row for pmap in perm_maps)
+        assert check_anonymity(TableRule(4, bits), 4).passed == oracle_verdict
 
     # tally-level kernel filters against profile-level checks, all anonymous rules
     for n in (2, 3, 4):

@@ -336,8 +336,8 @@ def cli_call(*args):
 
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):
-    # numpy serves only the tests' sweep oracle, so no CLI call pays its
-    # import, and no CLI call starts threads or worker processes.
+    # No CLI call imports numpy, which no part of the project uses, and
+    # no CLI call starts threads or worker processes.
     # Each subcommand imports only the modules it runs, out of every module
     # of the package: verify needs no axioms, decide no verifier, and
     # --help none of the library.

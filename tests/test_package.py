@@ -77,7 +77,7 @@ def test_bare_import_loads_no_submodule_and_needs_no_click():
 
 
 def test_library_runs_without_numpy():
-    # numpy serves only the tests' sweep oracle; the library needs none of it
+    # the library and its tests need no numpy; this guards against its return
     code = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"

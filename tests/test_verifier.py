@@ -1,5 +1,5 @@
 import itertools
-import os
+import random
 
 import pytest
 
@@ -31,7 +31,7 @@ from qmvote.axioms import (
     run_all_checks,
     unqualified_quota_contradiction,
 )
-from qmvote import verifier
+from qmvote import _kernels, verifier
 from qmvote.verifier import (
     SPACE_ANONYMOUS,
     SPACE_FULL,
@@ -43,7 +43,7 @@ from qmvote.verifier import (
     survivors_full,
     verify_characterization,
 )
-from sweep_oracle import reference_profile_cells, sweep_survivors
+from sweep_oracle import reference_profile_cells, reference_tally_cells, sweep_survivors
 
 X, Y = Alternative.X, Alternative.Y
 P = Profile.from_string
@@ -164,7 +164,7 @@ def test_grid_cells_map_to_their_tally_classes():
 # --- enumeration guard rails ------------------------------------------------
 
 
-def test_sat_cell_cap():
+def test_search_cell_cap():
     # full n=9 has 19,683 cells and anonymous n=167 has 14,196, both past 14,000
     with pytest.raises(GuardError, match="anonymous space"):
         enumerate_full(9, 5)
@@ -174,13 +174,13 @@ def test_sat_cell_cap():
         enumerate_full(1, 0)
 
 
-def test_sat_cell_cap_admits_anonymous_n165():
+def test_search_cell_cap_admits_anonymous_n165():
     # anonymous n=165 has 13,861 cells, the most under the cap
     result = enumerate_anonymous(165, 83)
     assert result.matches_theorem and len(result.survivors) == 2
 
 
-def test_sat_guard_refuses_a_huge_n_without_its_cell_count():
+def test_search_guard_refuses_a_huge_n_without_its_cell_count():
     with pytest.raises(GuardError) as info:
         enumerate_full(10**7, 1)
     assert str(info.value) == (
@@ -193,7 +193,7 @@ def test_sat_guard_refuses_a_huge_n_without_its_cell_count():
         enumerate_full(20, 1)
 
 
-def test_sat_survivor_cap():
+def test_search_survivor_cap():
     no_axioms = dict(use_neutrality=False, use_responsiveness=False)
     # 2^15 survivors at n=4 stay under the cap, listed in ascending order
     assert survivors_anonymous(4, 2, **no_axioms) == list(range(2**15))
@@ -354,13 +354,9 @@ def test_flipped_bit_never_survives():
 
 
 def test_full_n3_window_scan_finds_exactly_the_quota_rule():
-    import numpy as np
-
-    from qmvote import _kernels
-
     enc = TableRule.from_rule(QualifiedMajorityRule(3, 2, X), 3).bits
     cells = reference_profile_cells(3)
-    in_rq = (np.array(cells.support) >= 2).astype(np.uint8)
+    in_rq = [int(s >= 2) for s in cells.support]
     found = _kernels.scan_rules(
         enc - 512,
         enc + 512,
@@ -371,7 +367,7 @@ def test_full_n3_window_scan_finds_exactly_the_quota_rule():
         cells.trans,
         want_anonymity=True,
     )
-    assert [int(v) for v in found] == [enc]
+    assert found == [enc]
 
 
 # --- the search against the sweep oracle ----------------------------------
@@ -420,6 +416,32 @@ def test_engines_agree_on_the_anonymous_spaces_n2_to_n5():
                         survivors_anonymous(n, q, **axioms)
                 else:
                     assert survivors_anonymous(n, q, **axioms) == list(want), (n, q, axioms)
+
+
+# --- the sweep kernel's block edges ----------------------------------------
+
+
+def test_kernel_block_edges_match_a_whole_range_scan(monkeypatch):
+    # blocks of 4 encodings put block edges inside the windows and all but
+    # two cells above the block's bits; each window must give the
+    # whole-range scan at the default block, filtered to the window
+    scans = []
+    for n, cells in ((4, reference_tally_cells(4)), (2, reference_profile_cells(2))):
+        for q in range(n + 1):
+            in_rq = [int(s >= q) for s in cells.support]
+            tables = (in_rq, cells.dual_idx, cells.resp_x_indptr, cells.resp_x_targets, cells.trans)
+            for axioms in AXIOM_SUBSETS:
+                checks = sweep_checks(axioms)
+                whole = _kernels.scan_rules(0, 1 << cells.ncells, *tables, **checks)
+                scans.append((1 << cells.ncells, tables, checks, whole))
+    monkeypatch.setattr(_kernels, "_BLOCK", 4)
+    rng = random.Random(20261019)
+    for size, tables, checks, whole in scans:
+        for _ in range(3):
+            start = rng.randrange(size)
+            stop = min(start + rng.randrange(1, 400), size)
+            found = _kernels.scan_rules(start, stop, *tables, **checks)
+            assert found == [e for e in whole if start <= e < stop], (size, checks, start, stop)
 
 
 # --- the search against the profile-level checkers ------------------------
@@ -486,7 +508,7 @@ def test_each_space_encodes_the_quota_rules_as_their_cell_counts_do():
                 assert found == quota_rule_encodings(cell_counts(n), q), (space.name, n, q)
 
 
-def test_sat_theorem_full_n3_to_n5():
+def test_search_theorem_full_n3_to_n5():
     for n in range(3, 6):
         counts = full_cell_counts(n)
         for q in range(n + 1):
@@ -497,7 +519,7 @@ def test_sat_theorem_full_n3_to_n5():
             assert result.matches_theorem
 
 
-def test_sat_theorem_anonymous_n6_to_n20():
+def test_search_theorem_anonymous_n6_to_n20():
     for n in range(6, 21):
         counts = anonymous_cell_counts(n)
         for q in range(n + 1):
@@ -506,7 +528,7 @@ def test_sat_theorem_anonymous_n6_to_n20():
             assert enumerate_anonymous(n, q).matches_theorem
 
 
-def test_sat_theorem_full_n8_under_the_plain_cap():
+def test_search_theorem_full_n8_under_the_plain_cap():
     counts = full_cell_counts(8)
     for q in range(9):
         want = quota_rule_encodings(counts, q) if 2 * q > 8 else []
@@ -538,11 +560,7 @@ def test_anonymous_n6_theorem_every_quota():
         assert result.matches_theorem
 
 
-@pytest.mark.skipif(
-    not os.environ.get("QMVOTE_LONG_TESTS"),
-    reason="full n=3 sweep is behind QMVOTE_LONG_TESTS=1",
-)
-def test_full_n3_long_run_theorem_sweep():
+def test_full_n3_theorem_sweep():
     counts = full_cell_counts(3)
     for q in range(4):
         want = quota_rule_encodings(counts, q) if 2 * q > 3 else []
@@ -550,11 +568,7 @@ def test_full_n3_long_run_theorem_sweep():
         assert found == want, q
 
 
-@pytest.mark.skipif(
-    not os.environ.get("QMVOTE_LONG_TESTS"),
-    reason="anonymous n=6 sweep is behind QMVOTE_LONG_TESTS=1",
-)
-def test_anonymous_n6_long_run_theorem_sweep():
+def test_anonymous_n6_theorem_sweep():
     counts = anonymous_cell_counts(6)
     for q in range(7):
         want = quota_rule_encodings(counts, q) if 2 * q > 6 else []
