@@ -2,21 +2,16 @@
 
 A rule is an integer whose bit k is the winner at cell k (0 = X, 1 = Y):
 a canonical profile index in the full space, a lexicographic tally class
-in the anonymous space. The kernel is bit-sliced (Biham, FSE 1997): it
-sweeps aligned blocks of ``_BLOCK`` encodings, and in a block column k is
-one int whose bit e is cell k's bit in encoding base + e, so each axiom
-instance is one Boolean expression of two columns over the whole block.
-
-Responsiveness is tested on the moves toward X alone. Moving voter i
-from profile p toward X gives t exactly when moving voter i from t
-toward Y gives p back, so a rule breaks the Y-ward instance (Y wins at
-t, X at p) exactly when it breaks the X-ward one from p. Testing each
-X-ward pair once therefore finds every responsiveness violation.
+in the anonymous space. The kernel tests 2-CNF clauses over those bits
+and is bit-sliced (Biham, FSE 1997): it sweeps aligned blocks of
+``_BLOCK`` encodings, and in a block column k is one int whose bit e is
+cell k's bit in encoding base + e, so each clause is one Boolean
+expression of two columns over the whole block.
 
 The verifier never imports this module. The tests' sweep oracle
-(``tests/sweep_oracle.py``) feeds ``scan_rules`` index tables built from
-the profile-level operations and tests every encoding of a small space
-with it. ``scan_rules`` runs in one thread and has no size guard, so its
+(``tests/sweep_oracle.py``) builds the clauses of each axiom from the
+profile-level operations and tests every encoding of a small space with
+them. ``scan_rules`` runs in one thread and has no size guard, so its
 caller picks a size that fits. It stays in the package because the
 benchmark's trace hook wraps it here by name.
 """
@@ -26,32 +21,11 @@ from __future__ import annotations
 _BLOCK = 1 << 20
 
 
-def scan_rules(
-    start: int,
-    stop: int,
-    in_rq,
-    dual_idx,
-    resp_x_indptr,
-    resp_x_targets,
-    trans,
-    want_neutrality: bool = True,
-    want_responsiveness: bool = True,
-    want_anonymity: bool = False,
-) -> list[int]:
-    """Encodings in [start, stop) passing the selected checks, ascending,
-    from tables that are sequences of cell indices."""
-    ncells = len(dual_idx)
-    # each instance as a pair of cells: (a, b, same) ties their bits equal
-    # or different, and (a, b) in ``implies`` forbids X at a with Y at b
-    ties, implies = set(), set()
-    if want_neutrality:
-        ties.update((min(k, d), max(k, d), not in_rq[k]) for k, d in enumerate(dual_idx))
-    if want_responsiveness:
-        for k in range(ncells):
-            implies.update((k, t) for t in resp_x_targets[resp_x_indptr[k] : resp_x_indptr[k + 1]])
-    if want_anonymity:
-        ties.update((min(k, t), max(k, t), True) for row in trans for k, t in enumerate(row))
-
+def scan_rules(start: int, stop: int, ncells: int, ties, implies) -> list[int]:
+    """Encodings of ``ncells`` cells in [start, stop) that satisfy every
+    clause, ascending. A tie (a, b, same) asks cells a and b for equal
+    bits when ``same`` and for different ones otherwise; an implication
+    (a, b) forbids X at a with Y at b."""
     bits = min(_BLOCK.bit_length() - 1, ncells)
     size = 1 << bits
     full = (1 << size) - 1

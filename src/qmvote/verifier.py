@@ -8,29 +8,25 @@ is no survivors when 2q <= n and exactly the two quota-q rules when
 2q > n.
 
 Every axiom instance ties the winners at two cells, so the rules passing
-the axioms are the solutions of a 2-CNF over cell bits (1 = Y wins). The
-search holds a partial rule as two sets of cells, Z where X is fixed and
-O where Y is, each one int with a bit per cell. It closes them under
-every instance at once with the masked shifts ``qmvote check`` applies
-to a whole rule (``core``'s voter masks, move list, anonymity pairs,
-lift and dual), and branches on a free cell only once the closure is
-done. So it never visits the rules that fail, its cost follows the cell
-count, and ``rules_examined`` still reports the 2^cells rules the space
-holds. It is guarded by a cell cap and a survivor cap; a call past the
-survivor cap, which only a call that drops axioms can reach, is refused
-at every n.
+the axioms are the solutions of a 2-CNF over cell bits (1 = Y wins). One
+search serves both spaces: it closes a partial rule under every instance
+at once and only then branches on a free cell, so it never visits the
+rules that fail, its cost follows the cell count, and ``rules_examined``
+still reports the 2^cells rules the space holds. A cell cap and a
+survivor cap guard it; only a call that drops axioms can pass the
+survivor cap, and it is refused at every n.
 
-Each space is one class, chosen once through ``_SPACES``: ``_FullSpace``,
-whose cells are the canonical profile indices, as in ``check``, and
-``_AnonymousSpace``, whose cells are the tally classes, laid out on a
-grid. Only the class knows its space: its name, its cell count, its
-clauses and the encodings of the quota rules in it. ``_survivors`` runs
-the guards and the search in either, and ``_build_result`` reads the
-report off the space. This module imports nothing profile-level:
-the profile-level checkers and the balanced-profile argument for
-2q <= n live in ``axioms``, which ``verify`` and ``enumerate`` never
-load. The tests check the search against a sweep of every encoding and
-against the profile-level checkers.
+Each space is one layout class, chosen through ``_SPACES``:
+``_FullSpace`` numbers cells by canonical profile index, as ``check``
+does, and ``_AnonymousSpace`` lays the tally classes out on a grid. A
+layout holds its cells, its quota region R_q, the closures of a cell set
+toward X and toward Y, the mirror of a cell, the branching order and
+the encodings; an axiom a call drops is absent from it. This module
+imports nothing profile-level: the profile-level checkers and the
+balanced-profile argument for 2q <= n live in ``axioms``, which
+``verify`` and ``enumerate`` never load. The tests check the search
+against a sweep of every encoding and the profile-level checkers, and
+the layouts against profile-level reachability.
 """
 
 from __future__ import annotations
@@ -53,11 +49,12 @@ SPACE_ANONYMOUS = "anonymous"
 # Search guard, in cells (3^n full, (n+1)(n+2)/2 anonymous). It keeps
 # 2^cells within Python's default 4300-digit int-to-str limit, which the
 # JSON report needs; time is not what binds. Fresh verify --all-q
-# processes on 2 vCPUs (Intel Xeon, Python 3.11.7), medians of 7-11 runs:
-# full n=8 (6,561 cells) 0.08 s and 15 MB, anonymous n=160 (13,041)
-# 0.35 s and 17 MB, n=165 (13,861, the largest admitted) 0.60 s and 18 MB.
+# processes on 2 vCPUs (Intel Xeon, Python 3.11.7), medians of 9 runs:
+# full n=8 (6,561 cells) 0.07 s and 15 MB, anonymous n=160 (13,041)
+# 0.25 s and 17 MB, n=165 (13,861, the largest admitted) 0.27 s and 18 MB.
 _MAX_CELLS = 14000
-# the search lists every survivor; refuse before that list grows large
+# the search lists every survivor, so a refused call has listed 65,537: without
+# anonymity, every quota of full n=5 takes 3.2-3.8 s and of n=8 22-25 s (2 vCPUs)
 _MAX_SURVIVORS = 1 << 16
 
 
@@ -84,27 +81,29 @@ def _guard_cells(space, n: int) -> None:
 
 
 class _FullSpace:
-    """The full space's clauses as masked shifts of 3^n-bit sets. A state
-    is (Z, O), closed under the clauses, and O is the encoding."""
+    """The full space's layout: cells are canonical profile indices, as in
+    ``check``, and the clauses are masked shifts of 3^n-bit sets."""
 
     name = SPACE_FULL
     past_cap = "; use the anonymous space"
-    root = (0, 0)
 
     @staticmethod
     def cells(n: int) -> int:
         return 3**n
 
     def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
-        masks = _voter_masks(n)
-        self.n, self.masks = n, masks
+        self.n, self.masks, self.neutrality = n, _voter_masks(n), neutrality
         self.valid = (1 << 3**n) - 1
-        # (held, k): each move toward X goes from p in held to p + k
-        self.moves = [move[:2] for move in _x_moves(n, masks)] if responsiveness else []
-        self.pairs = list(_anonymity_pairs(n, masks)) if anonymity else []
-        self.neutrality = neutrality
-        self.in_rq = _lift(n, lambda a, b: max(a, b) >= q)
-        self.out_rq = self.valid ^ self.in_rq
+        # (held, k): each move toward X goes from p in held to p + k; taken
+        # backwards, from p + k to p, it is a move toward Y
+        self.x_moves = [move[:2] for move in _x_moves(n, self.masks)] if responsiveness else []
+        self.y_moves = [(held << k if k > 0 else held >> -k, -k) for held, k in self.x_moves[::-1]]
+        # the swaps of voters j, j + 1 for j = 0..n-2, then 0..n-3, and so
+        # on, as in a bubble sort: one pass reaches every voter permutation
+        swaps = list(_anonymity_pairs(n, self.masks)) if anonymity else []
+        self.swaps = [swap for m in range(n - 1, 0, -1) for swap in swaps[: 2 * m]]
+        self.in_rq = _lift(n, lambda a, b: max(a, b) >= q) if neutrality else 0
+        self.out_rq = self.valid ^ self.in_rq if neutrality else 0
 
     def rule_encoding(self, rule) -> int:
         return _lift(self.n, rule.y_wins)
@@ -113,40 +112,30 @@ class _FullSpace:
     def pick(free: int) -> int:
         return free.bit_length() - 1  # the highest free cell
 
-    def fix(self, state, cell: int, y: int):
-        """``state`` with the winner at ``cell`` fixed, closed; None on a conflict."""
-        z, o = state
-        return self._close(z, o | 1 << cell) if y else self._close(z | 1 << cell, o)
-
     @staticmethod
     def encoding(o: int) -> int:
         return o
 
-    def _close(self, z: int, o: int):
-        in_rq, out_rq = self.in_rq, self.out_rq
-        while True:
-            before = z, o
-            # X wins where a move toward X leads from an X cell, and Y wins
-            # where one leads to a Y cell. Each voter's moves close in one
-            # pass: toward X, 1 -> 2 comes before 2 -> 0, and, walking the
-            # list backwards, toward Y 0 -> 2 before 2 -> 1.
-            for held, k in self.moves:
-                here = z & held
-                z |= here << k if k > 0 else here >> -k
-            for held, k in reversed(self.moves):
-                o |= (o >> k if k > 0 else o << -k) & held
-            for held, k in self.pairs:
-                z |= (z & held) << k | (z >> k) & held
-                o |= (o & held) << k | (o >> k) & held
-            if self.neutrality:
-                # the winner at dual(p) is the one at p, swapped inside R_q
-                zd, od = _dual(self.n, z, self.masks), _dual(self.n, o, self.masks)
-                z |= zd & out_rq | od & in_rq
-                o |= od & out_rq | zd & in_rq
-            if z & o:
-                return None
-            if (z, o) == before:
-                return z, o
+    def mirror(self, cell: int) -> int:
+        return _dual(self.n, 1 << cell, self.masks) if self.neutrality else 0
+
+    def toward_x(self, cells: int) -> int:
+        return self._reached(cells, self.x_moves)
+
+    def toward_y(self, cells: int) -> int:
+        return self._reached(cells, self.y_moves)
+
+    def _reached(self, cells: int, moves) -> int:
+        """``cells`` and every cell that ``moves`` and voter swaps reach from
+        them. A voter's moves take one pass, as 1 -> 2 comes before 2 -> 0
+        toward X and 0 -> 2 before 2 -> 1 toward Y; a move commutes with a
+        swap, up to which voter moves, so one pass of swaps then closes."""
+        for held, k in moves:
+            here = cells & held
+            cells |= here << k if k > 0 else here >> -k
+        for held, k in self.swaps:
+            cells |= (cells & held) << k | (cells >> k) & held
+        return cells
 
 
 def _spread(cells: int, valid: int, step: int, n: int) -> int:
@@ -182,21 +171,16 @@ def _grid_to_classes(n: int, grid: int) -> int:
 
 
 class _AnonymousSpace:
-    """The anonymous space's clauses as shifts on a grid of tally classes.
+    """The anonymous space's layout: tally classes on a grid.
 
     Class (n_x, n_y) = (a, b) sits at bit a*W + b, in rows of W = 2n + 2
     bits, so a shift by up to n cells along a row lands in the row's
     padding. The moves toward X reach from (a, b) exactly the classes with
     more X and fewer Y supporters, so they close as "b down, then a up";
-    the moves toward Y as "a down, then b up". The dual of (a, b) is
-    (b, a), a transpose, which no shift gives, so a state is
-    (Z, O, Zd, Od), closed under the clauses, with Zd and Od the
-    transposes of Z and O. O, mapped to tally-class order, is the
-    encoding."""
+    the moves toward Y as "a down, then b up"."""
 
     name = SPACE_ANONYMOUS
     past_cap = ""
-    root = (0, 0, 0, 0)
     cells = staticmethod(num_tally_classes)
 
     def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
@@ -205,8 +189,8 @@ class _AnonymousSpace:
         self.valid = _grid(n, lambda a, row: row)
         self.responsiveness, self.neutrality = responsiveness, neutrality
         # R_q: all of row a when a >= q, its cells b >= q otherwise
-        self.in_rq = _grid(n, lambda a, row: row if a >= q else row >> q << q)
-        self.out_rq = self.valid ^ self.in_rq
+        self.in_rq = _grid(n, lambda a, row: row if a >= q else row >> q << q) if neutrality else 0
+        self.out_rq = self.valid ^ self.in_rq if neutrality else 0
 
     def rule_encoding(self, rule) -> int:
         return threshold_table_rule(self.n, rule.q, rule.reform).bits
@@ -215,53 +199,68 @@ class _AnonymousSpace:
     def pick(free: int) -> int:
         return (free & -free).bit_length() - 1  # the lowest free cell
 
-    def fix(self, state, cell: int, y: int):
-        """``state`` with the winner at ``cell`` fixed, closed; None on a conflict."""
-        z, o, zd, od = state
-        a, b = divmod(cell, self.w)
-        bit, mirror = 1 << cell, 1 << b * self.w + a
-        if y:
-            return self._close(z, o | bit, zd, od | mirror)
-        return self._close(z | bit, o, zd | mirror, od)
-
     def encoding(self, o: int) -> int:
         return _grid_to_classes(self.n, o)
 
-    def _toward_x(self, cells: int) -> int:
+    def mirror(self, cell: int) -> int:
+        a, b = divmod(cell, self.w)
+        return 1 << b * self.w + a if self.neutrality else 0
+
+    def toward_x(self, cells: int) -> int:
+        if not self.responsiveness:
+            return cells
         cells = _spread(cells, self.valid, -1, self.n)
         return _spread(cells, self.valid, self.w, self.n)
 
-    def _toward_y(self, cells: int) -> int:
+    def toward_y(self, cells: int) -> int:
+        if not self.responsiveness:
+            return cells
         cells = _spread(cells, self.valid, -self.w, self.n)
         return _spread(cells, self.valid, 1, self.n)
-
-    def _close(self, z: int, o: int, zd: int, od: int):
-        in_rq, out_rq = self.in_rq, self.out_rq
-        while True:
-            before = z, o, zd, od
-            if self.responsiveness:
-                # transposing turns moves toward X into moves toward Y
-                z, od = self._toward_x(z), self._toward_x(od)
-                o, zd = self._toward_y(o), self._toward_y(zd)
-            if self.neutrality:
-                z, o, zd, od = (
-                    z | zd & out_rq | od & in_rq,
-                    o | od & out_rq | zd & in_rq,
-                    zd | z & out_rq | o & in_rq,
-                    od | o & out_rq | z & in_rq,
-                )
-            if z & o:
-                return None
-            if (z, o, zd, od) == before:
-                return z, o, zd, od
 
 
 _SPACES = {SPACE_FULL: _FullSpace, SPACE_ANONYMOUS: _AnonymousSpace}
 
 
+def _close(space, state, new):
+    """``state``, which is closed, with the cells of ``new`` added and
+    closed; None on a conflict. A state is (Z, O, Zd, Od): the cells where
+    X and where Y is fixed, and the cells whose duals are. A dual swaps each
+    voter's X and Y, so Od closes toward X, as Z does, and Zd toward Y. The
+    closures are complete and, like the neutrality exchange, distribute
+    over unions of cells, so only the cells new to the state need closing."""
+    in_rq, out_rq = space.in_rq, space.out_rq
+    toward_x, toward_y = space.toward_x, space.toward_y
+    z, o, zd, od = state
+    nz, no, nzd, nod = new
+    while True:
+        # X wins where a move toward X leads from an X cell, and Y wins
+        # where one leads to a Y cell; an empty set needs no closing
+        z, od = z | (nz and toward_x(nz)), od | (nod and toward_x(nod))
+        o, zd = o | (no and toward_y(no)), zd | (nzd and toward_y(nzd))
+        if z & o:
+            return None
+        # q-neutrality: the winner at p is the one at dual(p), swapped
+        # inside R_q, which is self-dual
+        nz, no, nzd, nod = (
+            (zd & out_rq | od & in_rq) & ~z,
+            (od & out_rq | zd & in_rq) & ~o,
+            (z & out_rq | o & in_rq) & ~zd,
+            (o & out_rq | z & in_rq) & ~od,
+        )
+        if not (nz or no or nzd or nod):
+            return z, o, zd, od
+
+
+def _fix(space, state, cell: int, y: int):
+    """``state`` with the winner at ``cell`` fixed, closed; None on a conflict."""
+    bit, mirror = 1 << cell, space.mirror(cell)
+    return _close(space, state, (0, bit, 0, mirror) if y else (bit, 0, mirror, 0))
+
+
 def _solutions(space, limit: int) -> list[int]:
-    """Ascending encodings of the space's solutions, stopping once ``limit``
-    have been found; empty when there is none.
+    """The O sets of the space's solutions, in no order, stopping once
+    ``limit`` have been found; empty when there is none.
 
     Depth first, X before Y, from the empty state, which is closed. Each
     state on the stack is closed and free of conflict, so the clauses left
@@ -269,19 +268,19 @@ def _solutions(space, limit: int) -> list[int]:
     when the formula has a solution, each such state extends to one, and
     the first free cell that takes neither value proves that it has none."""
     found: list[int] = []
-    stack = [space.root]
+    stack = [(0, 0, 0, 0)]
     while stack and len(found) < limit:
         state = stack.pop()
         free = space.valid ^ (state[0] | state[1])
         if not free:
-            found.append(space.encoding(state[1]))
+            found.append(state[1])
             continue
         cell = space.pick(free)
-        children = [child for y in (1, 0) if (child := space.fix(state, cell, y)) is not None]
+        children = [child for y in (1, 0) if (child := _fix(space, state, cell, y)) is not None]
         if not children:
             return []
         stack.extend(children)
-    return sorted(found)
+    return found
 
 
 def _survivors(
@@ -298,8 +297,8 @@ def _survivors(
     if not (every_rule and 1 << space.cells(n) > _MAX_SURVIVORS):
         clauses = space(n, q, anonymity, responsiveness, neutrality)
         survivors = _solutions(clauses, _MAX_SURVIVORS + 1)
-        if len(survivors) <= _MAX_SURVIVORS:
-            return clauses, survivors
+        if len(survivors) <= _MAX_SURVIVORS:  # a refusal encodes none of them
+            return clauses, sorted(map(clauses.encoding, survivors))
     # only a call that drops axioms gets here
     raise GuardError(
         f"more than {_MAX_SURVIVORS:,} rules of the {space.name} space at n={n} "

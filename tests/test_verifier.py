@@ -21,6 +21,7 @@ from qmvote.rules import (
     qualified_majority_rules,
     rules_equal,
     tally_class_index,
+    tally_classes,
     threshold_table_rule,
 )
 from qmvote.axioms import (
@@ -43,7 +44,12 @@ from qmvote.verifier import (
     survivors_full,
     verify_characterization,
 )
-from sweep_oracle import reference_profile_cells, reference_tally_cells, sweep_survivors
+from sweep_oracle import (
+    clauses,
+    reference_profile_cells,
+    reference_tally_cells,
+    sweep_survivors,
+)
 
 X, Y = Alternative.X, Alternative.Y
 P = Profile.from_string
@@ -159,6 +165,84 @@ def test_grid_cells_map_to_their_tally_classes():
             for b in range(n + 1 - a):
                 grid = 1 << a * (2 * n + 2) + b
                 assert _grid_to_classes(n, grid) == 1 << tally_class_index(n, a, b), (n, a, b)
+
+
+def cell_layouts(all_quotas=False):
+    """(layout, oracle tables, the layout's bit for each table cell, the
+    cells one move toward X and toward Y away, the voter swaps) for the
+    full space at n=1..4 and the anonymous space at n=1..7, with
+    responsiveness and, in the full space, anonymity each on and off, at
+    q = n or at every quota. A dropped axiom leaves no moves or swaps."""
+    for n in range(1, 8):
+        spaces = []
+        if n <= 4:
+            cells = reference_profile_cells(n)
+            for anonymity in (True, False):
+                swaps = cells.trans if anonymity else []
+                spaces.append((verifier._FullSpace, anonymity, cells, range(3**n), swaps))
+        cells = reference_tally_cells(n)
+        grid = [a * (2 * n + 2) + b for a, b in tally_classes(n)]
+        spaces.append((verifier._AnonymousSpace, True, cells, grid, []))
+        for space, anonymity, cells, bits, swaps in spaces:
+            no_moves = [[]] * len(bits)
+            for responsiveness in (True, False):
+                moves = (cells.x_targets, cells.y_targets) if responsiveness else (no_moves,) * 2
+                for q in range(n + 1) if all_quotas else [n]:
+                    layout = space(n, q, anonymity, responsiveness, True)
+                    yield layout, cells, bits, moves, swaps
+
+
+def reached(start, targets, swaps):
+    """The cells reachable from ``start`` along ``targets`` and ``swaps``."""
+    seen, todo = {start}, [start]
+    while todo:
+        k = todo.pop()
+        for t in targets[k] + [row[k] for row in swaps]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def test_each_layout_closes_a_cell_as_the_profile_level_moves_do():
+    # one call of a closure is complete: the search closes only the cells
+    # new to a state and relies on it
+    for layout, cells, bits, moves, swaps in cell_layouts():
+        for k in range(cells.ncells):
+            for closure, targets in zip((layout.toward_x, layout.toward_y), moves):
+                want = sum(1 << bits[t] for t in reached(k, targets, swaps))
+                assert closure(1 << bits[k]) == want, (layout.name, layout.n, closure, k)
+
+
+def test_each_layout_mirrors_a_cell_to_its_dual():
+    for layout, cells, bits, _, _ in cell_layouts():
+        for k, d in enumerate(cells.dual_idx):
+            assert layout.mirror(bits[k]) == 1 << bits[d], (layout.name, layout.n, k)
+    # without q-neutrality a layout has no mirrors and no quota region
+    for space in (verifier._FullSpace, verifier._AnonymousSpace):
+        layout = space(3, 2, True, True, False)
+        assert layout.in_rq == layout.out_rq == 0
+        assert not any(layout.mirror(k) for k in range(layout.valid.bit_length()))
+
+
+def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
+    states = []
+    close = verifier._close
+
+    def recording(space, state, new):
+        states.append(close(space, state, new))
+        return states[-1]
+
+    monkeypatch.setattr(verifier, "_close", recording)
+    for layout, cells, bits, _, _ in cell_layouts(all_quotas=True):
+        del states[:]
+        verifier._solutions(layout, 64)
+        assert states, (layout.name, layout.n)
+        duals = [(bits[k], bits[d]) for k, d in enumerate(cells.dual_idx)]
+        for state in filter(None, states):
+            z, o, zd, od = state
+            mirrors = [sum(1 << d for k, d in duals if cell_set >> k & 1) for cell_set in (z, o)]
+            assert [zd, od] == mirrors, (layout.name, layout.n, layout.in_rq)
 
 
 # --- enumeration guard rails ------------------------------------------------
@@ -356,17 +440,8 @@ def test_flipped_bit_never_survives():
 def test_full_n3_window_scan_finds_exactly_the_quota_rule():
     enc = TableRule.from_rule(QualifiedMajorityRule(3, 2, X), 3).bits
     cells = reference_profile_cells(3)
-    in_rq = [int(s >= 2) for s in cells.support]
-    found = _kernels.scan_rules(
-        enc - 512,
-        enc + 512,
-        in_rq,
-        cells.dual_idx,
-        cells.resp_x_indptr,
-        cells.resp_x_targets,
-        cells.trans,
-        want_anonymity=True,
-    )
+    ties, implies = clauses(cells, 2, want_anonymity=True)
+    found = _kernels.scan_rules(enc - 512, enc + 512, cells.ncells, ties, implies)
     assert found == [enc]
 
 
@@ -428,19 +503,18 @@ def test_kernel_block_edges_match_a_whole_range_scan(monkeypatch):
     scans = []
     for n, cells in ((4, reference_tally_cells(4)), (2, reference_profile_cells(2))):
         for q in range(n + 1):
-            in_rq = [int(s >= q) for s in cells.support]
-            tables = (in_rq, cells.dual_idx, cells.resp_x_indptr, cells.resp_x_targets, cells.trans)
             for axioms in AXIOM_SUBSETS:
                 checks = sweep_checks(axioms)
-                whole = _kernels.scan_rules(0, 1 << cells.ncells, *tables, **checks)
-                scans.append((1 << cells.ncells, tables, checks, whole))
+                table = (cells.ncells, *clauses(cells, q, **checks))
+                whole = _kernels.scan_rules(0, 1 << cells.ncells, *table)
+                scans.append((1 << cells.ncells, table, checks, whole))
     monkeypatch.setattr(_kernels, "_BLOCK", 4)
     rng = random.Random(20261019)
-    for size, tables, checks, whole in scans:
+    for size, table, checks, whole in scans:
         for _ in range(3):
             start = rng.randrange(size)
             stop = min(start + rng.randrange(1, 400), size)
-            found = _kernels.scan_rules(start, stop, *tables, **checks)
+            found = _kernels.scan_rules(start, stop, *table)
             assert found == [e for e in whole if start <= e < stop], (size, checks, start, stop)
 
 
