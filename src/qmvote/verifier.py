@@ -19,8 +19,9 @@ survivor cap, and it is refused at every n.
 Each space is one layout class, chosen through ``_SPACES``:
 ``_FullSpace`` numbers cells by canonical profile index, as ``check``
 does, and ``_AnonymousSpace`` lays the tally classes out on a grid. A
-layout holds its cells, its quota region R_q, the closures of a cell set
-toward X and toward Y, the mirror of a cell, the branching order and
+layout holds its cells, its quota region R_q, its moves toward X and
+toward Y as lists of masked shifts, which ``_reached`` follows in one
+pass to close a cell set, the mirror of a cell, the branching order and
 the encodings; an axiom a call drops is absent from it. This module
 imports nothing profile-level: the profile-level checkers and the
 balanced-profile argument for 2q <= n live in ``axioms``, which
@@ -94,14 +95,19 @@ class _FullSpace:
     def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
         self.n, self.masks, self.neutrality = n, _voter_masks(n), neutrality
         self.valid = (1 << 3**n) - 1
-        # (held, k): each move toward X goes from p in held to p + k; taken
-        # backwards, from p + k to p, it is a move toward Y
-        self.x_moves = [move[:2] for move in _x_moves(n, self.masks)] if responsiveness else []
-        self.y_moves = [(held << k if k > 0 else held >> -k, -k) for held, k in self.x_moves[::-1]]
+        moves = [move[:2] for move in _x_moves(n, self.masks)] if responsiveness else []
+        # a voter swap is two opposite moves, shifted once: shifting them in
+        # every round tripled this build at n=10 (2.1 -> 6.4 ms, all quotas)
+        pairs = _anonymity_pairs(n, self.masks) if anonymity else ()
+        swaps = [move for held, k in pairs for move in ((held, k), (held << k, -k))]
         # the swaps of voters j, j + 1 for j = 0..n-2, then 0..n-3, and so
-        # on, as in a bubble sort: one pass reaches every voter permutation
-        swaps = list(_anonymity_pairs(n, self.masks)) if anonymity else []
-        self.swaps = [swap for m in range(n - 1, 0, -1) for swap in swaps[: 2 * m]]
+        # on, as in a bubble sort, reach every voter permutation. A voter's
+        # moves take one pass, as 1 -> 2 comes before 2 -> 0 toward X and
+        # 0 -> 2 before 2 -> 1 toward Y; a move commutes with a swap, up to
+        # which voter moves, so one pass of swaps after them closes
+        swaps = [move for m in range(n - 1, 0, -1) for move in swaps[: 4 * m]]
+        self.x_moves = moves + swaps
+        self.y_moves = _backwards(moves) + swaps
         self.in_rq = _lift(n, lambda a, b: max(a, b) >= q) if neutrality else 0
         self.out_rq = self.valid ^ self.in_rq if neutrality else 0
 
@@ -110,7 +116,9 @@ class _FullSpace:
 
     @staticmethod
     def pick(free: int) -> int:
-        return free.bit_length() - 1  # the highest free cell
+        # the highest free cell: the lowest doubled the in-process time of
+        # all quotas, n=8 19 -> 36 ms and n=10 0.19 -> 0.42 s (2 vCPUs)
+        return free.bit_length() - 1
 
     @staticmethod
     def encoding(o: int) -> int:
@@ -119,37 +127,19 @@ class _FullSpace:
     def mirror(self, cell: int) -> int:
         return _dual(self.n, 1 << cell, self.masks) if self.neutrality else 0
 
-    def toward_x(self, cells: int) -> int:
-        return self._reached(cells, self.x_moves)
 
-    def toward_y(self, cells: int) -> int:
-        return self._reached(cells, self.y_moves)
-
-    def _reached(self, cells: int, moves) -> int:
-        """``cells`` and every cell that ``moves`` and voter swaps reach from
-        them. A voter's moves take one pass, as 1 -> 2 comes before 2 -> 0
-        toward X and 0 -> 2 before 2 -> 1 toward Y; a move commutes with a
-        swap, up to which voter moves, so one pass of swaps then closes."""
-        for held, k in moves:
-            here = cells & held
-            cells |= here << k if k > 0 else here >> -k
-        for held, k in self.swaps:
-            cells |= (cells & held) << k | (cells >> k) & held
-        return cells
-
-
-def _spread(cells: int, valid: int, step: int, n: int) -> int:
-    """``cells`` and every valid cell up to n steps of ``step`` bits away
-    (a negative step shifts right), as doubling prefix-ORs. No single
-    shift exceeds n steps, so it takes a valid cell to a valid cell or to
-    padding; masking at every doubling, not only at the end, drops the
-    padding before a later shift carries it into another row."""
-    reach = 1
-    while reach <= n:
-        k = reach * step
-        cells = (cells | (cells << k if k > 0 else cells >> -k)) & valid
-        reach *= 2
+def _reached(cells: int, moves) -> int:
+    """``cells`` and every cell ``moves`` reach from them in one pass: a
+    move (held, k) adds p + k for each p in ``held`` reached so far."""
+    for held, k in moves:
+        here = cells & held
+        cells |= here << k if k > 0 else here >> -k
     return cells
+
+
+def _backwards(moves) -> list:
+    """``moves`` taken backwards, last first: each from p + k to p."""
+    return [(held << k if k > 0 else held >> -k, -k) for held, k in reversed(moves)]
 
 
 def _grid(n: int, rows) -> int:
@@ -176,8 +166,9 @@ class _AnonymousSpace:
     Class (n_x, n_y) = (a, b) sits at bit a*W + b, in rows of W = 2n + 2
     bits, so a shift by up to n cells along a row lands in the row's
     padding. The moves toward X reach from (a, b) exactly the classes with
-    more X and fewer Y supporters, so they close as "b down, then a up";
-    the moves toward Y as "a down, then b up"."""
+    more X and fewer Y supporters, so they are listed as "b down, then a
+    up", each by doubling shifts; the moves toward Y are those backwards,
+    "a down, then b up"."""
 
     name = SPACE_ANONYMOUS
     past_cap = ""
@@ -185,9 +176,14 @@ class _AnonymousSpace:
 
     def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
         # anonymity holds for every rule of this space by construction
-        self.n, self.w = n, 2 * n + 2
-        self.valid = _grid(n, lambda a, row: row)
-        self.responsiveness, self.neutrality = responsiveness, neutrality
+        self.n, self.w, self.neutrality = n, 2 * n + 2, neutrality
+        self.valid = valid = _grid(n, lambda a, row: row)
+        # shifts by 1, 2, 4, ... <= n cells, each from the valid cells whose
+        # target is valid: no padding moves, so none reaches another row
+        doubling = [1 << i for i in range(n.bit_length())] if responsiveness else []
+        shifts = [-d for d in doubling] + [d * self.w for d in doubling]
+        self.x_moves = [(valid & (valid >> k if k > 0 else valid << -k), k) for k in shifts]
+        self.y_moves = _backwards(self.x_moves)
         # R_q: all of row a when a >= q, its cells b >= q otherwise
         self.in_rq = _grid(n, lambda a, row: row if a >= q else row >> q << q) if neutrality else 0
         self.out_rq = self.valid ^ self.in_rq if neutrality else 0
@@ -206,18 +202,6 @@ class _AnonymousSpace:
         a, b = divmod(cell, self.w)
         return 1 << b * self.w + a if self.neutrality else 0
 
-    def toward_x(self, cells: int) -> int:
-        if not self.responsiveness:
-            return cells
-        cells = _spread(cells, self.valid, -1, self.n)
-        return _spread(cells, self.valid, self.w, self.n)
-
-    def toward_y(self, cells: int) -> int:
-        if not self.responsiveness:
-            return cells
-        cells = _spread(cells, self.valid, -self.w, self.n)
-        return _spread(cells, self.valid, 1, self.n)
-
 
 _SPACES = {SPACE_FULL: _FullSpace, SPACE_ANONYMOUS: _AnonymousSpace}
 
@@ -230,14 +214,14 @@ def _close(space, state, new):
     closures are complete and, like the neutrality exchange, distribute
     over unions of cells, so only the cells new to the state need closing."""
     in_rq, out_rq = space.in_rq, space.out_rq
-    toward_x, toward_y = space.toward_x, space.toward_y
+    x_moves, y_moves = space.x_moves, space.y_moves
     z, o, zd, od = state
     nz, no, nzd, nod = new
     while True:
         # X wins where a move toward X leads from an X cell, and Y wins
         # where one leads to a Y cell; an empty set needs no closing
-        z, od = z | (nz and toward_x(nz)), od | (nod and toward_x(nod))
-        o, zd = o | (no and toward_y(no)), zd | (nzd and toward_y(nzd))
+        z, od = z | (nz and _reached(nz, x_moves)), od | (nod and _reached(nod, x_moves))
+        o, zd = o | (no and _reached(no, y_moves)), zd | (nzd and _reached(nzd, y_moves))
         if z & o:
             return None
         # q-neutrality: the winner at p is the one at dual(p), swapped

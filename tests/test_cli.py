@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pkgutil
@@ -10,7 +11,7 @@ import pytest
 
 import qmvote
 from qmvote.core import Profile
-from qmvote.cli import ballots_text, read_ballots_text
+from qmvote.cli import ballots_text, main, read_ballots_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -231,6 +232,27 @@ def test_verify_full_n2_matches_golden():
     proc = run_cli("verify", "--n", "2", "--all-q", "--space", "full", "--no-timing")
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "verify_n2_full.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "space, n, size, digest",
+    [
+        ("full", 8, 33_841, "fb914e749033c72cc6a3a2cb113750009c079066680b5be942d50a1d10e06fb1"),
+        (
+            "anonymous",
+            165,
+            1_189_433,
+            "07488f393ed0141d3e568206d473a90f3270c50466f5e87fe7db1959f0f1c19e",
+        ),
+    ],
+    ids=["full-n8", "anonymous-n165"],
+)
+def test_verify_all_q_report_is_pinned_at_the_ci_smoke_sizes(capsys, space, n, size, digest):
+    # the goldens stop at n=2 and n=5; these are the largest sizes the CI
+    # smoke steps run in each space, full n=8 and anonymous n=165
+    assert main(["verify", "--n", str(n), "--all-q", "--space", space, "--no-timing"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 def test_verify_single_quota():

@@ -170,12 +170,12 @@ def test_grid_cells_map_to_their_tally_classes():
 def cell_layouts(all_quotas=False):
     """(layout, oracle tables, the layout's bit for each table cell, the
     cells one move toward X and toward Y away, the voter swaps) for the
-    full space at n=1..4 and the anonymous space at n=1..7, with
+    full space at n=1..6 and the anonymous space at n=1..7, with
     responsiveness and, in the full space, anonymity each on and off, at
     q = n or at every quota. A dropped axiom leaves no moves or swaps."""
     for n in range(1, 8):
         spaces = []
-        if n <= 4:
+        if n <= 6:
             cells = reference_profile_cells(n)
             for anonymity in (True, False):
                 swaps = cells.trans if anonymity else []
@@ -209,9 +209,10 @@ def test_each_layout_closes_a_cell_as_the_profile_level_moves_do():
     # new to a state and relies on it
     for layout, cells, bits, moves, swaps in cell_layouts():
         for k in range(cells.ncells):
-            for closure, targets in zip((layout.toward_x, layout.toward_y), moves):
+            for toward, targets in zip((layout.x_moves, layout.y_moves), moves):
                 want = sum(1 << bits[t] for t in reached(k, targets, swaps))
-                assert closure(1 << bits[k]) == want, (layout.name, layout.n, closure, k)
+                got = verifier._reached(1 << bits[k], toward)
+                assert got == want, (layout.name, layout.n, toward is layout.x_moves, k)
 
 
 def test_each_layout_mirrors_a_cell_to_its_dual():
