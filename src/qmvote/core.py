@@ -207,9 +207,6 @@ class Tally(FrozenValue):
     def count_for(self, alternative: Alternative) -> int:
         return self.n_x if alternative is Alternative.X else self.n_y
 
-    def swapped(self) -> "Tally":
-        return Tally(self.n_y, self.n_x, self.n_ind)
-
 
 # Per-profile caches hold every profile of n <= 9 (29,523): the test suite
 # asks for 20,966 distinct ones, and its largest walk, the rule of four's

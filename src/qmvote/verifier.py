@@ -19,15 +19,16 @@ survivor cap, and it is refused at every n.
 Each space is one layout class, chosen through ``_SPACES``:
 ``_FullSpace`` numbers cells by canonical profile index, as ``check``
 does, and ``_AnonymousSpace`` lays the tally classes out on a grid. A
-layout holds its cells, its quota region R_q, its moves toward X and
-toward Y as lists of masked shifts, which ``_reached`` follows in one
-pass to close a cell set, the mirror of a cell, the branching order and
-the encodings; an axiom a call drops is absent from it. This module
-imports nothing profile-level: the profile-level checkers and the
-balanced-profile argument for 2q <= n live in ``axioms``, which
-``verify`` and ``enumerate`` never load. The tests check the search
-against a sweep of every encoding and the profile-level checkers, and
-the layouts against profile-level reachability.
+layout holds its cells, the cells where each quota-q rule elects Y
+(keyed by reform), R_q where either reform wins, its moves toward X and
+toward Y as masked shifts, which ``_reached`` follows in one pass, the
+mirror of a cell, the branching order and the encoding of a cell set;
+an axiom a call drops is absent from it. This module imports nothing
+profile-level: the profile-level checkers and the balanced-profile
+argument for 2q <= n live in ``axioms``, which ``verify`` and
+``enumerate`` never load. The tests check the search against a sweep
+of every encoding and the profile-level checkers, and the layouts, R_q
+included, against profile-level reachability and support.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import time
 
 from .core import (
+    Alternative,
     FrozenValue,
     _anonymity_pairs,
     _dual,
@@ -42,8 +44,9 @@ from .core import (
     _voter_masks,
     _x_moves,
 )
-from .rules import num_tally_classes, qualified_majority_rules, threshold_table_rule
+from .rules import num_tally_classes, qualified_majority_rules
 
+_X, _Y = Alternative.X, Alternative.Y
 SPACE_FULL = "full"
 SPACE_ANONYMOUS = "anonymous"
 
@@ -108,11 +111,10 @@ class _FullSpace:
         swaps = [move for m in range(n - 1, 0, -1) for move in swaps[: 4 * m]]
         self.x_moves = moves + swaps
         self.y_moves = _backwards(moves) + swaps
-        self.in_rq = _lift(n, lambda a, b: max(a, b) >= q) if neutrality else 0
+        # where each quota-q rule, keyed by reform, elects Y; R_q is where either reform wins
+        self.elects_y = {_X: _lift(n, lambda a, b: a < q), _Y: _lift(n, lambda a, b: b >= q)}
+        self.in_rq = self.elects_y[_Y] | self.valid ^ self.elects_y[_X] if neutrality else 0
         self.out_rq = self.valid ^ self.in_rq if neutrality else 0
-
-    def rule_encoding(self, rule) -> int:
-        return _lift(self.n, rule.y_wins)
 
     @staticmethod
     def pick(free: int) -> int:
@@ -142,15 +144,6 @@ def _backwards(moves) -> list:
     return [(held << k if k > 0 else held >> -k, -k) for held, k in reversed(moves)]
 
 
-def _grid(n: int, rows) -> int:
-    """The grid set whose row a is ``rows(a, row)``, where ``row`` holds
-    the row's n + 1 - a cells."""
-    grid, w = 0, 2 * n + 2
-    for a in reversed(range(n + 1)):
-        grid = grid << w | rows(a, (1 << n + 1 - a) - 1)
-    return grid
-
-
 def _grid_to_classes(n: int, grid: int) -> int:
     """A grid set as an anonymous table encoding, row a to the classes
     (a, 0..n-a), which tally-class order keeps together."""
@@ -177,19 +170,19 @@ class _AnonymousSpace:
     def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
         # anonymity holds for every rule of this space by construction
         self.n, self.w, self.neutrality = n, 2 * n + 2, neutrality
-        self.valid = valid = _grid(n, lambda a, row: row)
+        self.valid = valid = sum((1 << n + 1 - a) - 1 << a * self.w for a in range(n + 1))
         # shifts by 1, 2, 4, ... <= n cells, each from the valid cells whose
         # target is valid: no padding moves, so none reaches another row
         doubling = [1 << i for i in range(n.bit_length())] if responsiveness else []
         shifts = [-d for d in doubling] + [d * self.w for d in doubling]
         self.x_moves = [(valid & (valid >> k if k > 0 else valid << -k), k) for k in shifts]
         self.y_moves = _backwards(self.x_moves)
-        # R_q: all of row a when a >= q, its cells b >= q otherwise
-        self.in_rq = _grid(n, lambda a, row: row if a >= q else row >> q << q) if neutrality else 0
-        self.out_rq = self.valid ^ self.in_rq if neutrality else 0
-
-    def rule_encoding(self, rule) -> int:
-        return threshold_table_rule(self.n, rule.q, rule.reform).bits
+        # reform X elects Y in the rows a < q, the low q*W bits, and reform Y
+        # in the cells b >= q, off the first column shifted by 0..q-1 cells
+        column = valid & ~(valid << 1)
+        self.elects_y = {_X: valid & (1 << q * self.w) - 1, _Y: valid & ~(column * ((1 << q) - 1))}
+        self.in_rq = self.elects_y[_Y] | valid ^ self.elects_y[_X] if neutrality else 0
+        self.out_rq = valid ^ self.in_rq if neutrality else 0
 
     @staticmethod
     def pick(free: int) -> int:
@@ -360,10 +353,11 @@ class VerificationResult(FrozenValue):
 def _build_result(clauses, q: int, survivors: list[int], elapsed_ms: float) -> VerificationResult:
     """The report for one quota. Table encodings are canonical (one per rule
     as a function), so the theorem holds iff the survivor encodings are
-    exactly those of the quota-q rules."""
+    exactly the layout's ``elects_y`` sets of the quota-q rules."""
     n = clauses.n
     names = {
-        clauses.rule_encoding(rule): rule.pretty() for rule in qualified_majority_rules(n, q)
+        clauses.encoding(clauses.elects_y[rule.reform]): rule.pretty()
+        for rule in qualified_majority_rules(n, q)
     }
     # the decimal label of a large encoding is costly, so only an unnamed
     # survivor gets one

@@ -15,6 +15,8 @@ from qmvote.rules import (
     tally_classes,
 )
 from qmvote.axioms import (
+    AxiomReport,
+    Witness,
     check_anonymity,
     check_anonymity_all_permutations,
     check_neutrality,
@@ -23,6 +25,7 @@ from qmvote.axioms import (
     replay_witness,
     run_all_checks,
 )
+from qmvote._tablecheck import run_table_checks
 
 X, Y = Alternative.X, Alternative.Y
 P = Profile.from_string
@@ -180,6 +183,25 @@ def test_replay_rejects_tampered_witnesses():
     )
     assert not replay_witness(bogus, rule, 2)
     assert not replay_witness(AxiomReport("anonymity", True), rule, 2)
+
+
+def test_replay_of_a_classical_neutrality_witness():
+    rule = QualifiedMajorityRule(3, 2, X)
+    report = check_neutrality(rule, 3)
+    assert replay_witness(report, rule, 3)
+    w = report.witness
+    tampered = Witness(w.profile, w.counterpart, w.expected, w.expected)
+    assert not replay_witness(AxiomReport(report.axiom, False, tampered), rule, 3)
+
+
+def test_table_checks_refuse_what_they_cannot_encode():
+    with pytest.raises(ValueError, match="rule is for n=3, checked at n=4"):
+        run_table_checks(QualifiedMajorityRule(3, 2, X), 4, 2)
+    with pytest.raises(TypeError, match="no output column for function"):
+        run_table_checks(dictatorship, 2, 1)
+    for q in (-1, 3):
+        with pytest.raises(ValueError, match=r"quota must lie in 0\.\.2"):
+            run_table_checks(constant_y_rule(2), 2, q)
 
 
 def test_checkers_take_plain_callables():

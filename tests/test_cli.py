@@ -255,6 +255,63 @@ def test_verify_all_q_report_is_pinned_at_the_ci_smoke_sizes(capsys, space, n, s
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
+# (length, sha256) of the stdout of `verify --all-q --no-timing` at
+# (space, n) and of `enumerate --no-timing` at (space, n, q)
+PINNED_REPORTS = {
+    ("full", 2): (540, "7a72d58f3b00cb85f963049cf5ab5d4e3a726a8ecb53ed9538a2c2dc29b8c11e"),
+    ("full", 3): (860, "b35605bf682fbfdb9c8ed77004cedcdff3a206d3cc414137110989e13cea1ba8"),
+    ("full", 4): (1_131, "fd82a6ebc6e6a41b6be87caf8d8ff9b74abd8eabc1c99681824c93ae0456cd24"),
+    ("full", 5): (2_024, "07bf681910060ea09523f13844d04904c20e6e73ff931554a2dc3a39d6d9933a"),
+    ("full", 6): (4_019, "734c3d764d243199989f4037147ad8c4e1ef68544bdb921d202e4fb5e5039a5e"),
+    ("full", 7): (11_643, "163af156a7cc1a520202296699a1d4e6ce9f8398942a43595fb06cc800d8c14e"),
+    ("anonymous", 2): (550, "281d381b52ca45e34b3aecd98960b1aab1560842873a52e9604b7c9acf94f2f0"),
+    ("anonymous", 3): (840, "4b29205d9d51e00338c11e5d195842bc5ecdb3b24a2f90b3f0fd33b74d7b7d6c"),
+    ("anonymous", 4): (986, "ad2a16279322e63dc1827d22e1490fc2d16cc751dacf9a6acceba4d9bc88e74b"),
+    ("anonymous", 5): (1_292, "23045a99e0a1ae86f2d8fd3ae5cf78c282803e222c8e00afe88bc2ebaacd1e42"),
+    ("anonymous", 6): (1_452, "ffbd56ac508730dc10f4804d8da3610fc1034aa32b0aa3d37ec4a25399cbea9a"),
+    ("anonymous", 7): (1_777, "cc2b514f63fa9b55fd6e2e95d2b2609ce33b4c8ff551d4d258c9beabb9190040"),
+    ("anonymous", 8): (1_959, "a056ac6af115c949f61dd554308e72717b244842532d760a180f78754391d9f5"),
+    ("anonymous", 9): (2_317, "27f47e566fff441a69061402f7ecb877df70016d0de6737c9f6b3b7b61b07ea3"),
+    ("anonymous", 10): (2_536, "f932ab647f50f72813ad7259fc69618177da814f30fca37fcfb6beaa2e7ce98e"),
+    ("anonymous", 11): (2_938, "7b2178c00927592858d9eae85cfd3f22b5bb0854075d486d4d1706748345db49"),
+    ("anonymous", 12): (3_181, "2355a1ce3f103f1b564ceae609338ff60ce4d1e64b0b86da0c4e302b411e9063"),
+    ("anonymous", 13): (3_620, "88fc3e50c2d91857113280007ef44cab7a8d1a6cc29cb372220d652efb84c09c"),
+    ("anonymous", 14): (3_904, "65c20764c2466a584109fd6451bec841c67ede6bf49d5fd9b0c340f187ebfe43"),
+    ("anonymous", 15): (4_388, "f7f6da090c7f18543ed1468adecdee13d4531f61c3fea4f0a1b332606270a774"),
+    ("anonymous", 16): (4_718, "3cc0029cb24db90a696ca73f2cde33f1195ac40f32fb9e79cdf8eea452222012"),
+    ("anonymous", 17): (5_263, "4a226e7dd020fc8b1093d657a9521fc2083475b9c8c91a861a51c1683bbb1a5d"),
+    ("anonymous", 18): (5_629, "6bd57c9ff1c0a0bf02671961dd43cc5a8181e1d72bca8b6319057b1b4741e434"),
+    ("anonymous", 19): (6_246, "15058b286015ae7e35314b569c3c11eb9ab21c578fdf0d2044211c5b42894017"),
+    ("anonymous", 20): (6_652, "6d384855b128e807e6b401a2cc3683d98d7e3d2522a1e728ab136619e5812e45"),
+    ("anonymous", 64): (
+        82_871,
+        "ab8f5c2f31d8ffbf11cff38856ec7dd47f35f847df98cb3594d15da81a3d06b8",
+    ),
+    ("anonymous", 160): (
+        1_084_314,
+        "1402704916b10119f39f5a6d14b8876935438d4643d9148d0f28df37c0408ab6",
+    ),
+    ("full", 3, 0): (119, "1fd3ecc8ee4698f22d4104ad6b9dc5ba64a7df90f6307bfb019fa29980a778bc"),
+    ("full", 3, 1): (119, "1daf04d4fa20919ca62ae99638da90f17217e837848a2b862cf36f7cce7ca76d"),
+    ("full", 3, 2): (351, "f99ffe2bd50186620ea729092f2a89fc0c5946ca694206c5d1c637b0e9b8499c"),
+    ("full", 3, 3): (348, "b02b96af85dc0432f1875e563e431b465500c87e659c55df1a8cbb74164d8dd3"),
+    ("anonymous", 4, 0): (120, "8dd3f6f14f4a112fc19614ed916a4fed931b26094c864b3fd8584754fb1bdd66"),
+    ("anonymous", 4, 1): (120, "2ba75bfbca3b6e3a970972fb52c9f094565aff76df7a3b05bb99d7310d3c3720"),
+    ("anonymous", 4, 2): (120, "7d661d753fa4fe53eec362b8a3cf21aff93e77a6a55d668aed4df07ec34b4f8b"),
+    ("anonymous", 4, 3): (319, "1c683f8195cfc99890c00b5f3624c815b9dd5b7738efee87913266f67ad5e69b"),
+    ("anonymous", 4, 4): (319, "81dbf8e279167a4df757bd2930c7c9211b67cfe5687c4875ff845427a7da8fb1"),
+}
+
+
+@pytest.mark.parametrize("key", PINNED_REPORTS, ids=lambda key: "-".join(map(str, key)))
+def test_verify_and_enumerate_reports_are_pinned(capsys, key):
+    space, n, *q = map(str, key)
+    command = ["enumerate", "--q", *q] if q else ["verify", "--all-q"]
+    assert main([*command, "--n", n, "--space", space, "--no-timing"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == PINNED_REPORTS[key]
+
+
 def test_verify_single_quota():
     proc = run_cli("verify", "--n", "3", "--q", "2", "--space", "anonymous", "--no-timing")
     assert proc.returncode == 0

@@ -167,6 +167,22 @@ def test_grid_cells_map_to_their_tally_classes():
                 assert _grid_to_classes(n, grid) == 1 << tally_class_index(n, a, b), (n, a, b)
 
 
+def cell_spaces(n):
+    """(layout class, anonymity, oracle tables, the layout's bit for each
+    table cell, the voter swaps) at n voters: the full space up to n=6,
+    with anonymity on and off, and the anonymous space."""
+    spaces = []
+    if n <= 6:
+        cells = reference_profile_cells(n)
+        for anonymity in (True, False):
+            swaps = cells.trans if anonymity else []
+            spaces.append((verifier._FullSpace, anonymity, cells, range(3**n), swaps))
+    cells = reference_tally_cells(n)
+    grid = [a * (2 * n + 2) + b for a, b in tally_classes(n)]
+    spaces.append((verifier._AnonymousSpace, True, cells, grid, []))
+    return spaces
+
+
 def cell_layouts(all_quotas=False):
     """(layout, oracle tables, the layout's bit for each table cell, the
     cells one move toward X and toward Y away, the voter swaps) for the
@@ -174,16 +190,7 @@ def cell_layouts(all_quotas=False):
     responsiveness and, in the full space, anonymity each on and off, at
     q = n or at every quota. A dropped axiom leaves no moves or swaps."""
     for n in range(1, 8):
-        spaces = []
-        if n <= 6:
-            cells = reference_profile_cells(n)
-            for anonymity in (True, False):
-                swaps = cells.trans if anonymity else []
-                spaces.append((verifier._FullSpace, anonymity, cells, range(3**n), swaps))
-        cells = reference_tally_cells(n)
-        grid = [a * (2 * n + 2) + b for a, b in tally_classes(n)]
-        spaces.append((verifier._AnonymousSpace, True, cells, grid, []))
-        for space, anonymity, cells, bits, swaps in spaces:
+        for space, anonymity, cells, bits, swaps in cell_spaces(n):
             no_moves = [[]] * len(bits)
             for responsiveness in (True, False):
                 moves = (cells.x_targets, cells.y_targets) if responsiveness else (no_moves,) * 2
@@ -224,6 +231,19 @@ def test_each_layout_mirrors_a_cell_to_its_dual():
         layout = space(3, 2, True, True, False)
         assert layout.in_rq == layout.out_rq == 0
         assert not any(layout.mirror(k) for k in range(layout.valid.bit_length()))
+
+
+def test_each_layout_holds_r_q_where_some_alternative_has_q_supporters():
+    # R_q is built from the quota-q rules' threshold sets, and the oracle
+    # reads it off each cell's support, max(n_x, n_y)
+    for n in range(1, 8):
+        for space, anonymity, cells, bits, _ in cell_spaces(n):
+            for q in range(n + 1):
+                layout = space(n, q, anonymity, True, True)
+                sides = [0, 0]  # the cells outside and inside R_q
+                for k, support in enumerate(cells.support):
+                    sides[support >= q] |= 1 << bits[k]
+                assert [layout.out_rq, layout.in_rq] == sides, (layout.name, n, q)
 
 
 def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
@@ -579,7 +599,10 @@ def test_each_space_encodes_the_quota_rules_as_their_cell_counts_do():
         for q in qualified_quotas(n):
             for space, cell_counts in spaces:
                 clauses = space(n, q, True, True, True)
-                found = sorted(map(clauses.rule_encoding, qualified_majority_rules(n, q)))
+                found = sorted(
+                    clauses.encoding(clauses.elects_y[rule.reform])
+                    for rule in qualified_majority_rules(n, q)
+                )
                 assert found == quota_rule_encodings(cell_counts(n), q), (space.name, n, q)
 
 
