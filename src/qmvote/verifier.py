@@ -22,8 +22,9 @@ does, and ``_AnonymousSpace`` lays the tally classes out on a grid. A
 layout holds its cells, the cells where each quota-q rule elects Y
 (keyed by reform), R_q where either reform wins, its moves toward X and
 toward Y as masked shifts, which ``_reached`` follows in one pass, the
-mirror of a cell, the branching order and the encoding of a cell set;
-an axiom a call drops is absent from it. This module imports nothing
+seed of a decision (its cell, or the cell's tally class, and their
+mirror), the branching order and the encoding of a cell set; an axiom a
+call drops is absent from it. This module imports nothing
 profile-level: the profile-level checkers and the balanced-profile
 argument for 2q <= n live in ``axioms``, which ``verify`` and
 ``enumerate`` never load. The tests check the search against a sweep
@@ -38,7 +39,6 @@ import time
 from .core import (
     Alternative,
     FrozenValue,
-    _anonymity_pairs,
     _dual,
     _lift,
     _voter_masks,
@@ -98,19 +98,11 @@ class _FullSpace:
     def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
         self.n, self.masks, self.neutrality = n, _voter_masks(n), neutrality
         self.valid = (1 << 3**n) - 1
-        moves = [move[:2] for move in _x_moves(n, self.masks)] if responsiveness else []
-        # a voter swap is two opposite moves, shifted once: shifting them in
-        # every round tripled this build at n=10 (2.1 -> 6.4 ms, all quotas)
-        pairs = _anonymity_pairs(n, self.masks) if anonymity else ()
-        swaps = [move for held, k in pairs for move in ((held, k), (held << k, -k))]
-        # the swaps of voters j, j + 1 for j = 0..n-2, then 0..n-3, and so
-        # on, as in a bubble sort, reach every voter permutation. A voter's
-        # moves take one pass, as 1 -> 2 comes before 2 -> 0 toward X and
-        # 0 -> 2 before 2 -> 1 toward Y; a move commutes with a swap, up to
-        # which voter moves, so one pass of swaps after them closes
-        swaps = [move for m in range(n - 1, 0, -1) for move in swaps[: 4 * m]]
-        self.x_moves = moves + swaps
-        self.y_moves = _backwards(moves) + swaps
+        self.x_moves = [move[:2] for move in _x_moves(n, self.masks)] if responsiveness else []
+        self.y_moves = _backwards(self.x_moves)
+        # under anonymity a decision fixes its cell's tally class, built when first
+        # met; moves, the dual and R_q map classes onto classes, so states stay unions
+        self.anonymity, self.seeds = anonymity, {}
         # where each quota-q rule, keyed by reform, elects Y; R_q is where either reform wins
         self.elects_y = {_X: _lift(n, lambda a, b: a < q), _Y: _lift(n, lambda a, b: b >= q)}
         self.in_rq = self.elects_y[_Y] | self.valid ^ self.elects_y[_X] if neutrality else 0
@@ -118,16 +110,24 @@ class _FullSpace:
 
     @staticmethod
     def pick(free: int) -> int:
-        # the highest free cell: the lowest doubled the in-process time of
-        # all quotas, n=8 19 -> 36 ms and n=10 0.19 -> 0.42 s (2 vCPUs)
+        # the highest free cell: the lowest about doubled the in-process time
+        # of all quotas, n=8 9 -> 17 ms and n=10 38 -> 93 ms (2 vCPUs)
         return free.bit_length() - 1
 
     @staticmethod
     def encoding(o: int) -> int:
         return o
 
-    def mirror(self, cell: int) -> int:
-        return _dual(self.n, 1 << cell, self.masks) if self.neutrality else 0
+    def seed(self, cell: int) -> tuple[int, int]:
+        """The cells a decision at ``cell`` fixes and their duals, or 0 without q-neutrality."""
+        if not self.anonymity:
+            return 1 << cell, _dual(self.n, 1 << cell, self.masks) if self.neutrality else 0
+        digits = [cell // 3**i % 3 for i in range(self.n)]
+        key = digits.count(0), digits.count(1)
+        if key not in self.seeds:
+            cells = _lift(self.n, lambda a, b: (a, b) == key)
+            self.seeds[key] = cells, _dual(self.n, cells, self.masks) if self.neutrality else 0
+        return self.seeds[key]
 
 
 def _reached(cells: int, moves) -> int:
@@ -191,9 +191,9 @@ class _AnonymousSpace:
     def encoding(self, o: int) -> int:
         return _grid_to_classes(self.n, o)
 
-    def mirror(self, cell: int) -> int:
-        a, b = divmod(cell, self.w)
-        return 1 << b * self.w + a if self.neutrality else 0
+    def seed(self, cell: int) -> tuple[int, int]:
+        a, b = divmod(cell, self.w)  # the mirror of (a, b) is (b, a)
+        return 1 << cell, 1 << b * self.w + a if self.neutrality else 0
 
 
 _SPACES = {SPACE_FULL: _FullSpace, SPACE_ANONYMOUS: _AnonymousSpace}
@@ -231,8 +231,8 @@ def _close(space, state, new):
 
 def _fix(space, state, cell: int, y: int):
     """``state`` with the winner at ``cell`` fixed, closed; None on a conflict."""
-    bit, mirror = 1 << cell, space.mirror(cell)
-    return _close(space, state, (0, bit, 0, mirror) if y else (bit, 0, mirror, 0))
+    cells, mirror = space.seed(cell)
+    return _close(space, state, (0, cells, 0, mirror) if y else (cells, 0, mirror, 0))
 
 
 def _solutions(space, limit: int) -> list[int]:

@@ -213,24 +213,30 @@ def reached(start, targets, swaps):
 
 def test_each_layout_closes_a_cell_as_the_profile_level_moves_do():
     # one call of a closure is complete: the search closes only the cells
-    # new to a state and relies on it
+    # new to a state and relies on it. A decision seeds the cell's class
+    # under the voter swaps, so the moves alone close what the swaps reach
     for layout, cells, bits, moves, swaps in cell_layouts():
         for k in range(cells.ncells):
+            seed = layout.seed(bits[k])[0]
             for toward, targets in zip((layout.x_moves, layout.y_moves), moves):
                 want = sum(1 << bits[t] for t in reached(k, targets, swaps))
-                got = verifier._reached(1 << bits[k], toward)
+                got = verifier._reached(seed, toward)
                 assert got == want, (layout.name, layout.n, toward is layout.x_moves, k)
 
 
 def test_each_layout_mirrors_a_cell_to_its_dual():
-    for layout, cells, bits, _, _ in cell_layouts():
+    # a decision seeds the cell's class under the voter swaps, which is the
+    # cell alone without anonymity, and mirrors it to the dual's class
+    for layout, cells, bits, _, swaps in cell_layouts():
+        no_moves = [[]] * cells.ncells
+        swept = [sum(1 << bits[t] for t in reached(k, no_moves, swaps)) for k in range(len(bits))]
         for k, d in enumerate(cells.dual_idx):
-            assert layout.mirror(bits[k]) == 1 << bits[d], (layout.name, layout.n, k)
+            assert layout.seed(bits[k]) == (swept[k], swept[d]), (layout.name, layout.n, k)
     # without q-neutrality a layout has no mirrors and no quota region
     for space in (verifier._FullSpace, verifier._AnonymousSpace):
         layout = space(3, 2, True, True, False)
         assert layout.in_rq == layout.out_rq == 0
-        assert not any(layout.mirror(k) for k in range(layout.valid.bit_length()))
+        assert not any(layout.seed(k)[1] for k in range(layout.valid.bit_length()))
 
 
 def test_each_layout_holds_r_q_where_some_alternative_has_q_supporters():
@@ -246,7 +252,8 @@ def test_each_layout_holds_r_q_where_some_alternative_has_q_supporters():
                 assert [layout.out_rq, layout.in_rq] == sides, (layout.name, n, q)
 
 
-def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
+def recorded_states(monkeypatch):
+    """The list every later ``_close`` call appends its result to."""
     states = []
     close = verifier._close
 
@@ -255,6 +262,11 @@ def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
         return states[-1]
 
     monkeypatch.setattr(verifier, "_close", recording)
+    return states
+
+
+def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
+    states = recorded_states(monkeypatch)
     for layout, cells, bits, _, _ in cell_layouts(all_quotas=True):
         del states[:]
         verifier._solutions(layout, 64)
@@ -264,6 +276,24 @@ def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
             z, o, zd, od = state
             mirrors = [sum(1 << d for k, d in duals if cell_set >> k & 1) for cell_set in (z, o)]
             assert [zd, od] == mirrors, (layout.name, layout.n, layout.in_rq)
+
+
+def test_search_states_are_unions_of_tally_classes_under_anonymity(monkeypatch):
+    # a decision seeds a whole tally class, and the closures keep unions of
+    # classes, so every closed state meets each anonymity clause
+    states = recorded_states(monkeypatch)
+    for layout, cells, bits, _, swaps in cell_layouts(all_quotas=True):
+        if not swaps:  # the full space without anonymity, or the anonymous space
+            continue
+        del states[:]
+        verifier._solutions(layout, 64)
+        assert states, (layout.name, layout.n)
+        for state in filter(None, states):
+            for cell_set in state[:2]:
+                held = [k for k in range(cells.ncells) if cell_set >> bits[k] & 1]
+                for row in swaps:
+                    swapped = sum(1 << bits[row[k]] for k in held)
+                    assert swapped == cell_set, (layout.n, layout.in_rq, bin(cell_set))
 
 
 # --- enumeration guard rails ------------------------------------------------
@@ -489,6 +519,17 @@ def test_engines_agree_on_the_full_space_n2():
         for axioms in AXIOM_SUBSETS:
             sweep = sweep_survivors(SPACE_FULL, 2, q, **sweep_checks(axioms))
             assert survivors_full(2, q, **axioms) == sweep, (q, axioms)
+
+
+def test_engines_agree_on_the_full_space_n3_with_one_axiom_dropped():
+    # with anonymity kept, each decision fixes a tally class, and dropping
+    # responsiveness leaves many classes free: 64 survivors at q=2.
+    # Responsiveness and anonymity do not depend on q, so one q drops neutrality
+    for q in range(4):
+        sweep = sweep_survivors(SPACE_FULL, 3, q, want_responsiveness=False)
+        assert survivors_full(3, q, use_responsiveness=False) == sweep, q
+    sweep = sweep_survivors(SPACE_FULL, 3, 2, want_neutrality=False)
+    assert survivors_full(3, 2, use_neutrality=False) == sweep
 
 
 def test_engines_agree_on_the_anonymous_spaces_n2_to_n5():
