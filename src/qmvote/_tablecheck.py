@@ -26,15 +26,15 @@ first violation is the lowest set bit:
   alternative has q strict supporters; the violations are
   ``dual(out) ^ out ^ R_q``.
 
-A quota rule, an anonymous table and R_q see a profile only through its
-tally, so their encodings are lifted from the tally classes voter by
-voter, two shifts and two ORs per class and voter. The reports,
-witnesses included, are those of ``axioms.run_all_checks``, which stays
-this module's oracle in the tests. No profile is evaluated and no big
-int is divided. The masks, the move list, the lift and the dual are
-``core``'s. The full space of ``qmvote verify`` closes with these moves
-and seeds lifted tally classes, not swaps; the anonymous space uses its
-own grid shifts in the same ``(held, k)`` form.
+A quota rule and an anonymous table answer on tallies through
+``y_wins``, as R_q does, so their encodings are lifted from the tally
+classes voter by voter, two shifts and two ORs per class and voter. The
+reports, witnesses included, are those of ``axioms.run_all_checks``,
+which stays this module's oracle in the tests. No profile is evaluated
+and no big int is divided. The masks, the move list, the lift and the
+dual are ``core``'s. The full space of ``qmvote verify`` closes with
+these moves and seeds lifted tally classes, not swaps; the anonymous
+space uses its own grid shifts in the same ``(held, k)`` form.
 
 The report types, ``AxiomReport`` and ``Witness``, and the axiom names
 are defined here, where every ``check`` builds them; ``axioms`` imports
@@ -121,10 +121,8 @@ def _encoding(rule, n: int) -> int:
         raise ValueError(f"rule is for n={rule.n}, checked at n={n}")
     if isinstance(rule, TableRule):
         return rule.bits
-    if isinstance(rule, QualifiedMajorityRule):
+    if isinstance(rule, (QualifiedMajorityRule, AnonymousTableRule)):
         return _lift(n, rule.y_wins)
-    if isinstance(rule, AnonymousTableRule):
-        return rule.lift().bits
     raise TypeError(f"no output column for {type(rule).__name__}")
 
 

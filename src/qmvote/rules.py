@@ -2,10 +2,11 @@
 
 Two families live here: the parametric qualified majority rules (a reform
 alternative that wins exactly when its strict supporters reach a quota
-above half the voters), and explicit table rules used to enumerate rule
-spaces exhaustively. Table rules pack their outputs into an integer, one
-bit per cell (0 = X wins, 1 = Y wins), so a rule's bit pattern doubles as
-its enumeration index and sweeping a rule space is a plain integer range.
+above half the voters), and explicit table rules, which pack their
+outputs into an integer, one bit per cell (0 = X wins, 1 = Y wins): the
+rule's encoding. A quota rule and an anonymous table answer on tallies
+through ``y_wins`` and share one ``evaluate``, and tally-class order is
+stated here alone, by ``tally_class_index`` and ``_pack_rows``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,25 @@ def tally_class_index(n: int, n_x: int, n_y: int) -> int:
     return n_x * (n + 1) - n_x * (n_x - 1) // 2 + n_y
 
 
+def _pack_rows(n: int, row: Callable[[int], int]) -> int:
+    """An anonymous table encoding, row by row: row a is the classes
+    (a, 0..n-a), which tally-class order keeps together, and bit b of
+    ``row(a)`` is class (a, b); bits past n - a are dropped. The last
+    row is highest."""
+    bits = 0
+    for a in range(n, -1, -1):
+        bits = bits << n + 1 - a | row(a) & (1 << n + 1 - a) - 1
+    return bits
+
+
+def _on_tallies(rule, profile: Profile) -> Alternative:
+    """``evaluate`` of a rule on tallies: Y iff ``y_wins`` at the profile's tally."""
+    if profile.n != rule.n:
+        raise ValueError(f"rule is for n={rule.n}, profile has n={profile.n}")
+    t = tally(profile)
+    return Alternative.Y if rule.y_wins(t.n_x, t.n_y) else Alternative.X
+
+
 # Table lines: character k is the output on cell k, X for bit 0, Y for bit 1.
 _DIGITS_TO_XY = str.maketrans("01", "XY")
 _XY_TO_DIGITS = str.maketrans("XY", "01")
@@ -101,11 +121,7 @@ class QualifiedMajorityRule(FrozenValue):
             raise ValueError(f"quota {q} is not qualified for n={n}: need 0 <= q <= n and 2q > n")
         self._set(n, q, reform)
 
-    def evaluate(self, profile: Profile) -> Alternative:
-        if profile.n != self.n:
-            raise ValueError(f"rule is for n={self.n}, profile has n={profile.n}")
-        t = tally(profile)
-        return Alternative.Y if self.y_wins(t.n_x, t.n_y) else Alternative.X
+    evaluate = _on_tallies
 
     def y_wins(self, n_x: int, n_y: int) -> bool:
         """The rule on tallies: True iff Y wins with n_x strict X and n_y
@@ -175,18 +191,16 @@ class AnonymousTableRule(FrozenValue):
             raise ValueError(f"bits out of range for n={n}")
         self._set(n, bits)
 
-    def evaluate(self, profile: Profile) -> Alternative:
-        if profile.n != self.n:
-            raise ValueError(f"rule is for n={self.n}, profile has n={profile.n}")
-        t = tally(profile)
-        k = tally_class_index(self.n, t.n_x, t.n_y)
-        return Alternative.Y if (self.bits >> k) & 1 else Alternative.X
+    evaluate = _on_tallies
+
+    def y_wins(self, n_x: int, n_y: int) -> bool:
+        """The rule on tallies: True iff Y wins on the class (n_x, n_y)."""
+        return bool(self.bits >> tally_class_index(self.n, n_x, n_y) & 1)
 
     def lift(self) -> TableRule:
         """The same rule as a profile-indexed table, lifted from the tally
         classes voter by voter, with no profile evaluated."""
-        n, bits = self.n, self.bits
-        return TableRule(n, _lift(n, lambda nx, ny: bits >> tally_class_index(n, nx, ny) & 1))
+        return TableRule(self.n, _lift(self.n, self.y_wins))
 
     def to_line(self) -> str:
         return _table_line(self.bits, num_tally_classes(self.n))
@@ -242,14 +256,8 @@ def threshold_table_rule(n: int, min_support: int, reform: Alternative) -> Anony
     """
     if not 0 <= min_support <= n + 1:
         raise ValueError(f"threshold must lie in 0..{n + 1}, got {min_support}")
-    # one row of classes (n_x, 0..n - n_x) at a time, the last row highest:
-    # Y wins at n_y >= min_support under reform Y, in rows n_x < min_support under X
-    bits = 0
-    for nx in range(n, -1, -1):
-        row = (1 << n - nx + 1) - 1
-        if reform is Alternative.Y:
-            row = row >> min_support << min_support
-        elif nx >= min_support:
-            row = 0
-        bits = bits << n - nx + 1 | row
-    return AnonymousTableRule(n, bits)
+    # Y wins at n_y >= min_support under reform Y, in the rows n_x < min_support
+    # under X; the packer cuts each all-ones row to its width
+    if reform is Alternative.Y:
+        return AnonymousTableRule(n, _pack_rows(n, lambda nx: -1 << min_support))
+    return AnonymousTableRule(n, _pack_rows(n, lambda nx: -1 if nx < min_support else 0))

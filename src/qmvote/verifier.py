@@ -23,13 +23,14 @@ layout holds its cells, the cells where each quota-q rule elects Y
 (keyed by reform), R_q where either reform wins, its moves toward X and
 toward Y as masked shifts, which ``_reached`` follows in one pass, the
 seed of a decision (its cell, or the cell's tally class, and their
-mirror), the branching order and the encoding of a cell set; an axiom a
-call drops is absent from it. This module imports nothing
-profile-level: the profile-level checkers and the balanced-profile
-argument for 2q <= n live in ``axioms``, which ``verify`` and
-``enumerate`` never load. The tests check the search against a sweep
-of every encoding and the profile-level checkers, and the layouts, R_q
-included, against profile-level reachability and support.
+mirror), the branching order and the encoding of a cell set (on the
+grid, by ``rules._pack_rows``); an axiom a call drops is absent from it.
+This module imports nothing profile-level: the profile-level checkers
+and the balanced-profile argument for 2q <= n live in ``axioms``, which
+``verify`` and ``enumerate`` never load. The tests check the search
+against a sweep of every encoding and the profile-level checkers, and
+the layouts, R_q included, against profile-level reachability and
+support.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .core import (
     _voter_masks,
     _x_moves,
 )
-from .rules import num_tally_classes, qualified_majority_rules
+from .rules import _pack_rows, num_tally_classes, qualified_majority_rules
 
 _X, _Y = Alternative.X, Alternative.Y
 SPACE_FULL = "full"
@@ -144,15 +145,6 @@ def _backwards(moves) -> list:
     return [(held << k if k > 0 else held >> -k, -k) for held, k in reversed(moves)]
 
 
-def _grid_to_classes(n: int, grid: int) -> int:
-    """A grid set as an anonymous table encoding, row a to the classes
-    (a, 0..n-a), which tally-class order keeps together."""
-    out, w = 0, 2 * n + 2
-    for a in reversed(range(n + 1)):
-        out = out << n + 1 - a | grid >> a * w & (1 << n + 1 - a) - 1
-    return out
-
-
 class _AnonymousSpace:
     """The anonymous space's layout: tally classes on a grid.
 
@@ -189,7 +181,8 @@ class _AnonymousSpace:
         return (free & -free).bit_length() - 1  # the lowest free cell
 
     def encoding(self, o: int) -> int:
-        return _grid_to_classes(self.n, o)
+        w = self.w
+        return _pack_rows(self.n, lambda a: o >> a * w)
 
     def seed(self, cell: int) -> tuple[int, int]:
         a, b = divmod(cell, self.w)  # the mirror of (a, b) is (b, a)

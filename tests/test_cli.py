@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import qmvote
-from qmvote.core import Profile
+from qmvote.core import Alternative, Profile, qualified_quotas
 from qmvote.cli import ballots_text, main, read_ballots_text
+from qmvote.rules import AnonymousTableRule, QualifiedMajorityRule, num_tally_classes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,6 +134,24 @@ def test_check_anonymous_table(tmp_path):
     path.write_text("XXYXXX\n")  # the n=2 quota-2 rule with reform Y, as a tally table
     proc = run_cli("check", "--rule", str(path), "--n", "2", "--q", "2", "--anonymous")
     assert proc.returncode == 0
+
+
+def test_check_anonymous_table_fails_as_its_lift_does(tmp_path, capsys):
+    # each quota rule's tally table at n=4 with one class flipped: the
+    # anonymous check fails and reports what the check of its lift reports
+    anonymous, full = tmp_path / "anonymous.rule", tmp_path / "full.rule"
+    for q in qualified_quotas(4):
+        for reform in (Alternative.X, Alternative.Y):
+            quota_rule = AnonymousTableRule.from_rule(QualifiedMajorityRule(4, q, reform), 4)
+            for k in range(num_tally_classes(4)):
+                table = AnonymousTableRule(4, quota_rule.bits ^ 1 << k)
+                anonymous.write_text(table.to_line() + "\n")
+                full.write_text(table.lift().to_line() + "\n")
+                args = ["check", "--n", "4", "--q", str(q), "--rule"]
+                assert main([*args, str(anonymous), "--anonymous"]) == 1, (q, reform, k)
+                out = capsys.readouterr().out
+                assert main([*args, str(full)]) == 1, (q, reform, k)
+                assert capsys.readouterr().out == out, (q, reform, k)
 
 
 def test_check_rejects_malformed_rule_files(tmp_path):
@@ -437,6 +456,16 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     path = write_ballot_file(tmp_path, ["X", "X", "TIE"])
     decide = cli_call("decide", "--ballots", str(path), "--q", "2", "--reform", "X")
     assert loaded_modules(decide, library | heavy) == {"qmvote.core", "qmvote.rules"}
+    tally = cli_call("tally", "--ballots", str(path))
+    assert loaded_modules(tally, library | heavy) == {"qmvote.core"}
+    enumerate_ = cli_call("enumerate", "--n", "4", "--q", "3", "--space", "anonymous")
+    want = {"qmvote.core", "qmvote.rules", "qmvote.verifier"}
+    assert loaded_modules(enumerate_, library | heavy) == want
+    table = tmp_path / "anonymous.rule"
+    table.write_text("XXYXXX\n")  # the n=2 quota-2 rule with reform Y
+    check = cli_call("check", "--rule", str(table), "--n", "2", "--q", "2", "--anonymous")
+    want = {"qmvote.core", "qmvote.rules", "qmvote._tablecheck"}
+    assert loaded_modules(check, library | heavy) == want
 
 
 def test_cli_space_names_are_the_verifier_spaces():

@@ -210,6 +210,30 @@ def test_table_line_error_messages_name_the_first_bad_character():
         AnonymousTableRule.from_line(2, "XYXXXx")
 
 
+def test_threshold_rule_tables_match_their_definition():
+    # class by class: Y wins iff the reform's strict supporters reach the
+    # threshold, at every threshold from 0 (always) to n + 1 (never)
+    for n in range(1, 11):
+        for m in range(n + 2):
+            for reform in (X, Y):
+                want = sum(
+                    1 << tally_class_index(n, nx, ny)
+                    for nx, ny in tally_classes(n)
+                    if (ny >= m if reform is Y else nx < m)
+                )
+                assert threshold_table_rule(n, m, reform).bits == want, (n, m, reform)
+
+
+def test_anonymous_table_answers_only_on_tally_classes():
+    table = AnonymousTableRule(2, 0b101101)
+    assert [table.y_wins(nx, ny) for nx, ny in tally_classes(2)] == [
+        True, False, True, True, False, True
+    ]
+    for nx, ny in [(-1, 0), (0, -1), (3, 0), (0, 3), (2, 1), (1, 2)]:
+        with pytest.raises(ValueError, match="is not a tally class for n=2"):
+            table.y_wins(nx, ny)
+
+
 def test_threshold_rule_expresses_the_court_rule_of_four():
     hears = threshold_table_rule(9, 4, X)
     assert hears.evaluate(Profile.from_counts(4, 5, 0)) is X

@@ -37,7 +37,6 @@ from qmvote.verifier import (
     SPACE_ANONYMOUS,
     SPACE_FULL,
     GuardError,
-    _grid_to_classes,
     enumerate_anonymous,
     enumerate_full,
     survivors_anonymous,
@@ -164,7 +163,8 @@ def test_grid_cells_map_to_their_tally_classes():
         for a in range(n + 1):
             for b in range(n + 1 - a):
                 grid = 1 << a * (2 * n + 2) + b
-                assert _grid_to_classes(n, grid) == 1 << tally_class_index(n, a, b), (n, a, b)
+                encoding = verifier._AnonymousSpace(n, 0, False, True, True).encoding(grid)
+                assert encoding == 1 << tally_class_index(n, a, b), (n, a, b)
 
 
 def cell_spaces(n):
