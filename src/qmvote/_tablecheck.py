@@ -19,8 +19,9 @@ first violation is the lowest set bit:
   makes. Where X wins at p and loses at p + k, both profiles violate: p
   by that move, and p + k by the move back toward Y. So the X-ward moves
   alone give every violation, each at both ends. First by profile, then
-  voter, then move in the canonical neighbor order, which the list
-  carries for both ends.
+  voter, then move in the canonical neighbor order. A move and its
+  reverse toward Y hold the same place in that order, so the list's one
+  move index serves both ends.
 * q-neutrality: ``dual(out)``, built by swapping digits 0 and 1 voter by
   voter, must differ from ``out`` exactly on R_q, the profiles where some
   alternative has q strict supporters; the violations are
@@ -71,11 +72,6 @@ class Witness(FrozenValue):
 
     __slots__ = _fields = ("profile", "counterpart", "expected", "observed")
 
-    def __init__(
-        self, profile: Profile, counterpart: Profile, expected: Alternative, observed: Alternative
-    ) -> None:
-        self._set(profile, counterpart, expected, observed)
-
     def to_json_dict(self) -> dict:
         return {
             "profile": self.profile.to_string(),
@@ -87,11 +83,7 @@ class Witness(FrozenValue):
 
 class AxiomReport(FrozenValue):
     __slots__ = _fields = ("axiom", "passed", "witness", "q")
-
-    def __init__(
-        self, axiom: str, passed: bool, witness: Optional[Witness] = None, q: Optional[int] = None
-    ) -> None:
-        self._set(axiom, passed, witness, q)
+    _defaults = {"witness": None, "q": None}
 
     def to_json_dict(self) -> dict:
         doc: dict = {"axiom": self.axiom}
@@ -141,12 +133,12 @@ def _first_anonymity_violation(n: int, out: int, masks: list[int]) -> _Violation
 def _first_responsiveness_violation(n: int, out: int, masks: list[int]) -> _Violation:
     x_wins = ((1 << 3**n) - 1) ^ out
     first = None  # (profile, voter, move index, counterpart, winner)
-    for held, k, i, move, back in _x_moves(n, masks):
+    for held, k, i, move in _x_moves(n, masks):
         # X wins at p, Y at p + k, which is one move toward X from p
         bad = held & x_wins & (out >> k if k > 0 else out << -k)
         if bad:
             p = _lowest(bad)
-            found = min((p, i, move, p + k, 0), (p + k, i, back, p, 1))
+            found = min((p, i, move, p + k, 0), (p + k, i, move, p, 1))
             first = found if first is None else min(first, found)
     return None if first is None else (first[0], first[3], first[4])
 

@@ -217,26 +217,6 @@ class ContradictionWitness(FrozenValue):
         "violated_axiom",
     )
 
-    def __init__(
-        self,
-        profile: Profile,
-        dual_profile: Profile,
-        permutation: tuple[int, ...],
-        anonymity_requires: Alternative,
-        neutrality_requires: Alternative,
-        observed: Alternative,
-        violated_axiom: str,
-    ) -> None:
-        self._set(
-            profile,
-            dual_profile,
-            permutation,
-            anonymity_requires,
-            neutrality_requires,
-            observed,
-            violated_axiom,
-        )
-
 
 def unqualified_quota_contradiction(rule, n: int, q: int) -> ContradictionWitness:
     """Build the balanced profile for an unqualified quota and report which of

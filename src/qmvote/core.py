@@ -37,18 +37,33 @@ class FrozenValue:
     """Base of the package's immutable value types.
 
     A subclass names its fields in ``_fields``, in constructor order, and
-    sets each once in ``__init__`` through ``_set``. Instances compare and
-    hash by their field values and their exact class, refuse attribute
-    assignment, and repr as ``Class(field=value, ...)``: the semantics of
-    a frozen dataclass, without the start-up cost of ``dataclasses``.
+    its trailing defaults in ``_defaults``, by field name. A subclass that
+    writes no ``__init__`` gets one taking ``_fields`` in order, compiled
+    once per class as ``dataclasses`` does it, so ``inspect.signature``
+    and CPython's own argument errors name the fields. A subclass that
+    validates its arguments writes its own ``__init__`` and sets each
+    field once through ``_set``. Instances compare and hash by their
+    field values and their exact class, refuse attribute assignment, and
+    repr as ``Class(field=value, ...)``: the semantics of a frozen
+    dataclass, without the start-up cost of ``dataclasses``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*cls._fields)
+        if "__init__" not in cls.__dict__:
+            fields, defaults = cls._fields, cls._defaults
+            # defaults are bound by name in the function's namespace, never by repr
+            namespace = {f"_default_{name}": value for name, value in defaults.items()}
+            namespace["__name__"] = cls.__module__
+            params = ", ".join(f"{f}=_default_{f}" if f in defaults else f for f in fields)
+            exec(f"def __init__(self, {params}):\n    self._set({', '.join(fields)})", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _set(self, *values) -> None:
         for name, value in zip(self._fields, values):
@@ -197,9 +212,6 @@ class Tally(FrozenValue):
 
     __slots__ = _fields = ("n_x", "n_y", "n_ind")
 
-    def __init__(self, n_x: int, n_y: int, n_ind: int) -> None:
-        self._set(n_x, n_y, n_ind)
-
     @property
     def n(self) -> int:
         return self.n_x + self.n_y + self.n_ind
@@ -299,15 +311,16 @@ def responsive_neighbors(profile: Profile, winner: Alternative) -> tuple[Profile
     return tuple(out)
 
 
-# The moves of one voter toward X, as (digit, change, move, back), with
-# digits 0 = STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT: a voter holding
-# ``digit`` moves to ``digit + change``, and that is the voter's
-# ``move``-th move in responsive_neighbors(p, X). Taken backwards, from
-# ``digit + change`` to ``digit``, it is the voter's ``back``-th move in
-# responsive_neighbors(., Y), and every move toward Y is one of these
-# taken backwards. A move of voter i changes the profile index by the
-# change times 3^i.
-_TOWARD_X = ((1, 1, 0, 0), (1, -1, 1, 1), (2, -2, 0, 0))
+# The moves of one voter toward X, as (digit, change, move), with digits
+# 0 = STRICT_X, 1 = STRICT_Y, 2 = INDIFFERENT: a voter holding ``digit``
+# moves to ``digit + change``, and that is the voter's ``move``-th move in
+# responsive_neighbors(p, X). Every move toward Y is one of these taken
+# backwards, from ``digit + change`` to ``digit``, and it is the voter's
+# ``move``-th move in responsive_neighbors(., Y) too: for either winner
+# the move to indifferent comes before the move to strict, so a move and
+# its reverse hold the same place among one voter's moves. A move of
+# voter i changes the profile index by the change times 3^i.
+_TOWARD_X = ((1, 1, 0), (1, -1, 1), (2, -2, 0))
 
 
 def _voter_masks(n: int) -> list[int]:
@@ -325,8 +338,8 @@ def _voter_masks(n: int) -> list[int]:
     return masks
 
 
-def _x_moves(n: int, masks: list[int]) -> Iterator[tuple[int, int, int, int, int]]:
-    """(held, k, voter, move, back) per voter i and row of ``_TOWARD_X``,
+def _x_moves(n: int, masks: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(held, k, voter, move) per voter i and row of ``_TOWARD_X``,
     in canonical witness order (voter, then move): ``held`` the profiles
     where voter i holds the row's digit, and k the index change of the
     move, so the move goes from p to p + k for every p in ``held``. A
@@ -334,8 +347,8 @@ def _x_moves(n: int, masks: list[int]) -> Iterator[tuple[int, int, int, int, int
     3n of them would set the peak memory of a ``check`` call."""
     for i in range(n):
         s = 3**i
-        for digit, change, move, back in _TOWARD_X:
-            yield masks[i] << digit * s, change * s, i, move, back
+        for digit, change, move in _TOWARD_X:
+            yield masks[i] << digit * s, change * s, i, move
 
 
 def _anonymity_pairs(n: int, masks: list[int]) -> Iterator[tuple[int, int]]:

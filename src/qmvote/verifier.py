@@ -305,9 +305,6 @@ def survivors_anonymous(
 class SurvivorInfo(FrozenValue):
     __slots__ = _fields = ("encoding", "pretty")
 
-    def __init__(self, encoding: int, pretty: str) -> None:
-        self._set(encoding, pretty)
-
     def to_json_dict(self) -> dict:
         return {"encoding": self.encoding, "pretty": self.pretty}
 
@@ -316,18 +313,6 @@ class VerificationResult(FrozenValue):
     __slots__ = _fields = (
         "n", "q", "space", "rules_examined", "survivors", "matches_theorem", "elapsed_ms"
     )
-
-    def __init__(
-        self,
-        n: int,
-        q: int,
-        space: str,
-        rules_examined: int,
-        survivors: tuple[SurvivorInfo, ...],
-        matches_theorem: bool,
-        elapsed_ms: float,
-    ) -> None:
-        self._set(n, q, space, rules_examined, survivors, matches_theorem, elapsed_ms)
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         doc: dict = {

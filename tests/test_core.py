@@ -215,16 +215,16 @@ def voter_moves(profile, winner, i):
 
 def test_move_table_reads_the_profile_level_moves_both_ways():
     # each row of _x_moves, read forwards, is voter i's move-th move toward
-    # X, and backwards, voter i's back-th move toward Y; the rows list every
+    # X, and backwards, voter i's move-th move toward Y; the rows list every
     # move toward X once, in canonical witness order at each profile
     for n in range(1, 5):
         order = {p: [] for p in range(3**n)}
-        for held, k, i, move, back in _x_moves(n, _voter_masks(n)):
+        for held, k, i, move in _x_moves(n, _voter_masks(n)):
             for p in order:
                 if held >> p & 1:
                     at, to = Profile.from_index(n, p), Profile.from_index(n, p + k)
                     assert voter_moves(at, X, i)[move] == to, (n, p, i, move)
-                    assert voter_moves(to, Y, i)[back] == at, (n, p, i, back)
+                    assert voter_moves(to, Y, i)[move] == at, (n, p, i, move)
                     order[p].append((i, move))
         for p, rows in order.items():
             assert rows == sorted(rows), (n, p)

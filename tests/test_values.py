@@ -1,6 +1,7 @@
 """The package's value types: immutable, compared by value and exact class."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -9,9 +10,11 @@ from qmvote.axioms import (
     AxiomReport,
     ContradictionWitness,
     Witness,
+    replay_witness,
+    run_all_checks,
     unqualified_quota_contradiction,
 )
-from qmvote.core import Alternative, Profile, Tally
+from qmvote.core import Alternative, FrozenValue, Profile, Tally
 from qmvote.rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
 from qmvote.verifier import SurvivorInfo, VerificationResult
 
@@ -125,11 +128,74 @@ def test_validation_messages(build, message):
     assert str(info.value) == message
 
 
+# the types whose constructor FrozenValue generates from their fields
+GENERATED = [Tally, Witness, AxiomReport, SurvivorInfo, VerificationResult, ContradictionWitness]
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=[cls.__name__ for cls in GENERATED])
+def test_generated_constructors_take_the_fields_in_order(cls):
+    assert "__init__" in cls.__dict__ and cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls._fields
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert defaults == ({"witness": None, "q": None} if cls is AxiomReport else {})
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((1, 2), {}, "missing 1 required positional argument: 'n_ind'"),
+        ((1, 2, 3, 4), {}, "takes 4 positional arguments but 5 were given"),
+        ((1, 2), {"n_x": 3}, "got multiple values for argument 'n_x'"),
+        ((1, 2, 3), {"extra": 0}, "got an unexpected keyword argument 'extra'"),
+    ],
+)
+def test_generated_constructors_raise_the_interpreters_errors(args, kwargs, message):
+    with pytest.raises(TypeError) as info:
+        Tally(*args, **kwargs)
+    assert str(info.value) == f"Tally.__init__() {message}"
+
+
 def test_constructors_keep_their_signatures():
-    with pytest.raises(TypeError, match="missing 1 required positional argument: 'n_ind'"):
-        Tally(1, 2)
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'reform'"):
         QualifiedMajorityRule(3, 2)
     report = AxiomReport("q-neutrality", True, None, 2)
     assert (report.witness, report.q) == (None, 2)
     assert isinstance(unqualified_quota_contradiction(lambda p: X, 4, 2), ContradictionWitness)
+
+
+def test_failed_reports_rebuild_positionally_from_their_json():
+    # the benchmark's correctness gate rebuilds each failed report this way
+    rule = AnonymousTableRule.from_line(3, "XXYXYXYYXY").lift()
+    failed = [r for r in run_all_checks(rule, 3, 2) if not r.passed]
+    assert failed
+    for report in failed:
+        doc = report.to_json_dict()
+        w = doc["witness"]
+        expected, observed = Alternative(w["expected"]), Alternative(w["observed"])
+        witness = Witness(P(w["profile"]), P(w["counterpart"]), expected, observed)
+        rebuilt = AxiomReport(doc["axiom"], False, witness, doc.get("q"))
+        assert rebuilt == report and replay_witness(rebuilt, rule, 3)
+
+
+def test_a_subclass_that_writes_its_own_constructor_keeps_it():
+    class Pair(FrozenValue):
+        __slots__ = _fields = ("low", "high")
+
+        def __init__(self, a, b):
+            self._set(min(a, b), max(a, b))
+
+    assert tuple(inspect.signature(Pair).parameters) == ("a", "b")
+    assert (Pair(3, 1).low, Pair(3, 1).high) == (1, 3) and Pair(3, 1) == Pair(1, 3)
+
+
+def test_generated_defaults_are_the_declared_objects():
+    unit = object()  # no repr reads back to it
+
+    class Scaled(FrozenValue):
+        __slots__ = _fields = ("value", "scale")
+        _defaults = {"scale": unit}
+
+    assert tuple(inspect.signature(Scaled).parameters) == ("value", "scale")
+    assert Scaled(2).scale is unit and Scaled(2) == Scaled(value=2, scale=unit) != Scaled(2, 3)

@@ -43,6 +43,7 @@ from qmvote.verifier import (
     survivors_full,
     verify_characterization,
 )
+from staircases import staircases
 from sweep_oracle import (
     clauses,
     reference_profile_cells,
@@ -697,6 +698,16 @@ def test_anonymous_n6_theorem_every_quota():
         result = enumerate_anonymous(6, q)
         assert result.rules_examined == 2**28
         assert result.matches_theorem
+
+
+def test_responsive_anonymous_rules_are_the_staircases():
+    # without q-neutrality the quota reaches no clause, so q = 0 and q = n
+    # stand for every q; the search and the staircases share no code
+    for n in range(2, 13):
+        stairs = list(staircases(n))
+        assert len(stairs) == len(set(stairs)) == 2 ** (n + 1), n
+        for q in (0, n):
+            assert set(survivors_anonymous(n, q, use_neutrality=False)) == set(stairs), (n, q)
 
 
 def test_full_n3_theorem_sweep():
