@@ -45,8 +45,6 @@ checker.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import (
     Alternative,
     FrozenValue,
@@ -99,7 +97,7 @@ _WINNER = (Alternative.X, Alternative.Y)
 
 # Each search returns its first violation as (profile, counterpart, winner
 # the axiom requires at the counterpart), or None when the rule passes.
-_Violation = Optional[tuple[int, int, int]]
+_Violation = tuple[int, int, int] | None
 
 
 def _lowest(bits: int) -> int:
@@ -153,9 +151,7 @@ def _first_neutrality_violation(n: int, out: int, masks: list[int], q: int) -> _
     return p, dual(Profile.from_index(n, p)).index, (out ^ in_rq) >> p & 1
 
 
-def _report(
-    axiom: str, n: int, out: int, found: _Violation, q: Optional[int] = None
-) -> AxiomReport:
+def _report(axiom: str, n: int, out: int, found: _Violation, q: int | None = None) -> AxiomReport:
     if found is None:
         return AxiomReport(axiom, True, q=q)
     p, t, expected = found

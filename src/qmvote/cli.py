@@ -12,6 +12,9 @@ none, ``decide`` and ``tally`` no ``verifier``, ``verify`` and
 ``enumerate`` only ``core``, ``rules`` and ``verifier``, and ``check``
 only ``core``, ``rules`` and ``_tablecheck``, which defines the report
 types itself, with no ``axioms`` and no ``verifier``.
+
+Every input file is read by ``_read_text``, and ``decide`` and ``tally``
+share one ballot path, ``_read_ballot_file``.
 """
 
 from __future__ import annotations
@@ -63,17 +66,18 @@ def read_ballots_text(text: str) -> Profile:
 
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = [row for row in reader if row]
+        # each record with the line it ends on, blank lines skipped
+        rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:  # e.g. a field past csv's size limit
         raise BallotError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise BallotError("empty ballot file")
-    header = [c.strip().lower() for c in rows[0]]
+    header = [c.strip().lower() for c in rows[0][1]]
     if header != ["voter", "choice"]:
         raise BallotError('ballot files start with the header "voter,choice"')
     prefs = []
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 2:
             raise BallotError(f"line {lineno}: expected two columns, got {len(row)}")
         voter, choice = row[0].strip(), row[1].strip().upper()
@@ -88,25 +92,6 @@ def read_ballots_text(text: str) -> Profile:
     if len(prefs) < 2:
         raise BallotError("a ballot file needs at least two voters")
     return Profile(tuple(prefs))
-
-
-def read_ballots(path: str) -> Profile:
-    with open(path, "r", encoding="utf-8-sig", newline="") as fp:
-        try:
-            text = fp.read()
-        except UnicodeDecodeError as exc:
-            raise BallotError(f"{path} is not UTF-8 text: {exc}") from None
-    return read_ballots_text(text)
-
-
-def ballots_text(profile: Profile) -> str:
-    """Render a profile as a ballot file; re-ingesting yields the profile back.
-
-    Voter ids are v1..vn (1-based, matching CLI-facing numbering)."""
-    lines = ["voter,choice"]
-    for i, pref in enumerate(profile, start=1):
-        lines.append(f"v{i},{_CHOICES[pref]}")
-    return "\n".join(lines) + "\n"
 
 
 def _emit(doc) -> None:
@@ -131,31 +116,47 @@ def _die(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _read_text(path: str, newline: str | None = None) -> str:
+    """The text of UTF-8 file ``path``, less any byte-order mark."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fp:
+            return fp.read()
+    except OSError as exc:
+        _die(EXIT_BAD_INPUT, str(exc))
+    except UnicodeDecodeError as exc:
+        _die(EXIT_BAD_INPUT, f"{path} is not UTF-8 text: {exc}")
+
+
+def _read_ballot_file(path: str) -> tuple[Profile, dict]:
+    """The profile in ballot file ``path`` and its report ``{"n", "tally"}``."""
+    from .core import tally
+
+    try:
+        profile = read_ballots_text(_read_text(path, newline=""))  # csv reads line ends
+    except BallotError as exc:
+        _die(EXIT_BAD_INPUT, str(exc))
+    t = tally(profile)
+    return profile, {"n": profile.n, "tally": {"x": t.n_x, "y": t.n_y, "indifferent": t.n_ind}}
+
+
 def _load_rule(spec: str, n: int, anonymous: bool):
     """A rule from ``builtin:qm:Q:A`` or from a table file path."""
     from .core import Alternative
     from .rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
 
     if spec.startswith("builtin:"):
-        parts = spec.split(":")
-        if len(parts) != 4 or parts[1] != "qm":
-            _die(EXIT_BAD_INPUT, f"unknown builtin rule {spec!r}; expected builtin:qm:Q:{{X,Y}}")
         try:
-            quota = int(parts[2])
-            reform = Alternative(parts[3].upper())
+            _, kind, quota, reform = spec.split(":")
+            if kind != "qm":
+                raise ValueError(kind)
+            quota, reform = int(quota), Alternative(reform.upper())
         except ValueError:
             _die(EXIT_BAD_INPUT, f"unknown builtin rule {spec!r}; expected builtin:qm:Q:{{X,Y}}")
         try:
             return QualifiedMajorityRule(n, quota, reform)
         except ValueError as exc:
             _die(EXIT_GUARD, str(exc))
-    try:
-        with open(spec, "r", encoding="utf-8-sig") as fp:
-            line = fp.read()
-    except OSError as exc:
-        _die(EXIT_BAD_INPUT, str(exc))
-    except UnicodeDecodeError as exc:
-        _die(EXIT_BAD_INPUT, f"{spec} is not UTF-8 text: {exc}")
+    line = _read_text(spec)
     try:
         if anonymous:
             return AnonymousTableRule.from_line(n, line)
@@ -166,13 +167,10 @@ def _load_rule(spec: str, n: int, anonymous: bool):
 
 def decide(args) -> int:
     """Decide a ballot file under a qualified majority rule."""
-    from .core import Alternative, is_qualified, tally
+    from .core import Alternative, is_qualified
     from .rules import QualifiedMajorityRule
 
-    try:
-        profile = read_ballots(args.ballots)
-    except (OSError, BallotError) as exc:
-        _die(EXIT_BAD_INPUT, str(exc))
+    profile, report = _read_ballot_file(args.ballots)
     n = profile.n
     if not is_qualified(args.q, n):
         _die(
@@ -181,29 +179,13 @@ def decide(args) -> int:
         )
     alt = Alternative(args.reform)
     rule = QualifiedMajorityRule(n, args.q, alt)
-    t = tally(profile)
-    _emit(
-        {
-            "n": n,
-            "tally": {"x": t.n_x, "y": t.n_y, "indifferent": t.n_ind},
-            "q": args.q,
-            "reform": alt.value,
-            "winner": rule.evaluate(profile).value,
-        }
-    )
+    _emit({**report, "q": args.q, "reform": alt.value, "winner": rule.evaluate(profile).value})
     return EXIT_OK
 
 
 def tally_cmd(args) -> int:
     """Tally a ballot file without deciding it."""
-    from .core import tally
-
-    try:
-        profile = read_ballots(args.ballots)
-    except (OSError, BallotError) as exc:
-        _die(EXIT_BAD_INPUT, str(exc))
-    t = tally(profile)
-    _emit({"n": profile.n, "tally": {"x": t.n_x, "y": t.n_y, "indifferent": t.n_ind}})
+    _emit(_read_ballot_file(args.ballots)[1])
     return EXIT_OK
 
 

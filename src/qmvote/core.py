@@ -27,10 +27,10 @@ package breaks ties by this index.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from enum import Enum, IntEnum
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterator, Sequence
 
 
 class FrozenValue:

@@ -12,8 +12,8 @@ stated here alone, by ``tally_class_index`` and ``_pack_rows``.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from .core import (
     Alternative,

@@ -11,8 +11,9 @@ import pytest
 
 import qmvote
 from qmvote.core import Alternative, Profile, qualified_quotas
-from qmvote.cli import ballots_text, main, read_ballots_text
+from qmvote.cli import main, read_ballots_text
 from qmvote.rules import AnonymousTableRule, QualifiedMajorityRule, num_tally_classes
+from ballots import ballots_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -204,6 +205,31 @@ def test_ballot_field_past_the_csv_size_limit_is_bad_input(tmp_path, command):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: line 2: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decide", "--ballots", "{path}", "--q", "2", "--reform", "X"],
+        ["tally", "--ballots", "{path}"],
+    ],
+    ids=["decide", "tally"],
+)
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("voter,choice\nv1,X\n\nv2,Q\n", "line 4: choice must be X, Y or TIE, got 'Q'"),
+        ("voter,choice\nv1,X\n\n\nv1,Y\n", "line 5: duplicate voter id 'v1'"),
+        # a quoted field may span lines; its record is named by its last
+        ('voter,choice\n"v\n1",X\nv2,MAYBE\n', "line 4: choice must be X, Y or TIE, got 'MAYBE'"),
+    ],
+    ids=["blank-line", "two-blank-lines", "multi-line-record"],
+)
+def test_ballot_errors_name_the_physical_line(tmp_path, command, text, error):
+    path = tmp_path / "ballots.csv"
+    path.write_text(text)
+    proc = run_cli(*(arg.format(path=path) for arg in command))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize(
@@ -466,6 +492,34 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     check = cli_call("check", "--rule", str(table), "--n", "2", "--q", "2", "--anonymous")
     want = {"qmvote.core", "qmvote.rules", "qmvote._tablecheck"}
     assert loaded_modules(check, library | heavy) == want
+
+
+def test_no_subcommand_imports_typing(tmp_path):
+    # typing costs start-up and the package needs it only for annotations;
+    # comparing with the modules loaded before the call keeps the test
+    # valid where site imports typing itself
+    path = write_ballot_file(tmp_path, ["X", "X", "TIE"])
+    table = tmp_path / "anonymous.rule"
+    table.write_text("XXYXXX\n")  # the n=2 quota-2 rule with reform Y
+    calls = [
+        ("verify", "--n", "5", "--all-q", "--space", "anonymous"),
+        ("verify", "--n", "2", "--all-q", "--space", "full"),
+        ("check", "--rule", "builtin:qm:3:X", "--n", "4", "--q", "3"),
+        ("check", "--rule", str(table), "--n", "2", "--q", "2", "--anonymous"),
+        ("decide", "--ballots", str(path), "--q", "2", "--reform", "X"),
+        ("tally", "--ballots", str(path)),
+        ("enumerate", "--n", "3", "--q", "2", "--space", "full"),
+    ]
+    for args in calls:
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"{cli_call(*args)}\n"
+            "print('typing' in set(sys.modules) - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", args
 
 
 def test_cli_space_names_are_the_verifier_spaces():

@@ -28,7 +28,8 @@ from qmvote.axioms import (
     replay_witness,
     run_all_checks,
 )
-from qmvote.cli import ballots_text, read_ballots_text
+from qmvote.cli import read_ballots_text
+from ballots import ballots_text
 
 X, Y = Alternative.X, Alternative.Y
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -708,6 +709,51 @@ def test_responsive_anonymous_rules_are_the_staircases():
         assert len(stairs) == len(set(stairs)) == 2 ** (n + 1), n
         for q in (0, n):
             assert set(survivors_anonymous(n, q, use_neutrality=False)) == set(stairs), (n, q)
+
+
+def mirror_diffs(n):
+    """Each staircase of n voters, with the classes where it elects
+    differently on a class (a, b) and on its mirror (b, a), as a bitmask,
+    and the mask of R_q for each q: the classes with max(a, b) >= q."""
+    classes = tally_classes(n)
+    mirror = [tally_class_index(n, b, a) for a, b in classes]
+    diffs = {}
+    for rule in staircases(n):
+        flipped = sum(1 << m for k, m in enumerate(mirror) if rule >> k & 1)
+        diffs[rule] = rule ^ flipped
+    in_rq = [
+        sum(1 << k for k, (a, b) in enumerate(classes) if max(a, b) >= q) for q in range(n + 1)
+    ]
+    return diffs, in_rq
+
+
+def test_theorem_through_the_staircases():
+    # q-neutrality on tallies: a rule swaps its winner between a class and
+    # its mirror on R_q and keeps it off R_q, so the classes where the two
+    # differ are exactly R_q; no code is shared with the search
+    for n in range(2, 13):
+        diffs, in_rq = mirror_diffs(n)
+        for q in range(n + 1):
+            want = sorted(rule for rule, diff in diffs.items() if diff == in_rq[q])
+            assert want == (quota_rule_encodings(tally_classes(n), q) if 2 * q > n else []), (n, q)
+            assert survivors_anonymous(n, q) == want, (n, q)
+
+
+def test_swap_half_at_the_smallest_qualified_quota_counts_central_binomials():
+    # The staircase form explains the count C(2q, q). Y wins on a down-set
+    # of the classes, ordered by moves toward X. The lowest class with
+    # n_x >= q is (q, n - q), and its mirror (n - q, q) lies below it, as
+    # n < 2q. Were Y to win anywhere on n_x >= q, it would win at both,
+    # which the swap forbids; so X wins wherever n_x >= q and, by the swap,
+    # Y wherever n_y >= q: all of R_q is fixed. As n >= 2q - 2, the classes
+    # off R_q, n_x < q and n_y < q, form a whole q x q square in the product
+    # order; Y may win on any down-set of it, and a q x q grid has C(2q, q)
+    # down-sets, one per lattice path across it.
+    for n in range(2, 13):
+        q = n // 2 + 1
+        diffs, in_rq = mirror_diffs(n)
+        swaps = sum(1 for diff in diffs.values() if diff & in_rq[q] == in_rq[q])
+        assert swaps == math.comb(2 * q, q), n
 
 
 def test_full_n3_theorem_sweep():
