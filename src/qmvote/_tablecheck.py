@@ -33,9 +33,9 @@ classes voter by voter, two shifts and two ORs per class and voter. The
 reports, witnesses included, are those of ``axioms.run_all_checks``,
 which stays this module's oracle in the tests. No profile is evaluated
 and no big int is divided. The masks, the move list, the lift and the
-dual are ``core``'s. The full space of ``qmvote verify`` closes with
-these moves and seeds lifted tally classes, not swaps; the anonymous
-space uses its own grid shifts in the same ``(held, k)`` form.
+dual are ``core``'s. Without anonymity the full space of ``qmvote
+verify`` closes with these moves; the tally grid, searched under
+anonymity, uses its own shifts in the same ``(held, k)`` form.
 
 The report types, ``AxiomReport`` and ``Witness``, and the axiom names
 are defined here, where every ``check`` builds them; ``axioms`` imports

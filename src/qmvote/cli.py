@@ -167,18 +167,15 @@ def _load_rule(spec: str, n: int, anonymous: bool):
 
 def decide(args) -> int:
     """Decide a ballot file under a qualified majority rule."""
-    from .core import Alternative, is_qualified
+    from .core import Alternative
     from .rules import QualifiedMajorityRule
 
     profile, report = _read_ballot_file(args.ballots)
-    n = profile.n
-    if not is_qualified(args.q, n):
-        _die(
-            EXIT_GUARD,
-            f"quota {args.q} is not qualified for {n} voters: need 0 <= q <= n and q > n/2",
-        )
     alt = Alternative(args.reform)
-    rule = QualifiedMajorityRule(n, args.q, alt)
+    try:
+        rule = QualifiedMajorityRule(profile.n, args.q, alt)
+    except ValueError as exc:
+        _die(EXIT_GUARD, str(exc))
     _emit({**report, "q": args.q, "reform": alt.value, "winner": rule.evaluate(profile).value})
     return EXIT_OK
 

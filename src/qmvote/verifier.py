@@ -16,15 +16,17 @@ still reports the 2^cells rules the space holds. A cell cap and a
 survivor cap guard it; only a call that drops axioms can pass the
 survivor cap, and it is refused at every n.
 
-Each space is one layout class, chosen through ``_SPACES``:
-``_FullSpace`` numbers cells by canonical profile index, as ``check``
-does, and ``_AnonymousSpace`` lays the tally classes out on a grid. A
-layout holds its cells, the cells where each quota-q rule elects Y
-(keyed by reform), R_q where either reform wins, its moves toward X and
-toward Y as masked shifts, which ``_reached`` follows in one pass, the
-seed of a decision (its cell, or the cell's tally class, and their
-mirror), the branching order and the encoding of a cell set (on the
-grid, by ``rules._pack_rows``); an axiom a call drops is absent from it.
+The layout class is the anonymity axiom: ``_AnonymousSpace`` lays the
+tally classes out on a grid; ``_LiftedSpace``, the full space under
+anonymity, searches that grid and lifts each survivor to the profiles of
+its classes; ``_FullSpace``, the full space without anonymity, numbers
+cells by canonical profile index, as ``check`` does. A layout holds its
+cells, the cells where each quota-q rule elects Y (keyed by reform), R_q
+where either reform wins, its moves toward X and toward Y as masked
+shifts, which ``_reached`` follows in one pass, the seed of a decision
+(its cell and the cell's mirror), the branching order and the encoding
+of a cell set (on the grid by ``rules._pack_rows``, lifted by
+``core._lift``); an axiom a call drops is absent from it.
 This module imports nothing profile-level: the profile-level checkers
 and the balanced-profile argument for 2q <= n live in ``axioms``, which
 ``verify`` and ``enumerate`` never load. The tests check the search
@@ -86,7 +88,7 @@ def _guard_cells(space, n: int) -> None:
 
 
 class _FullSpace:
-    """The full space's layout: cells are canonical profile indices, as in
+    """The full space without anonymity: cells are profile indices, as in
     ``check``, and the clauses are masked shifts of 3^n-bit sets."""
 
     name = SPACE_FULL
@@ -96,14 +98,11 @@ class _FullSpace:
     def cells(n: int) -> int:
         return 3**n
 
-    def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
+    def __init__(self, n: int, q: int, responsiveness: bool, neutrality: bool):
         self.n, self.masks, self.neutrality = n, _voter_masks(n), neutrality
         self.valid = (1 << 3**n) - 1
         self.x_moves = [move[:2] for move in _x_moves(n, self.masks)] if responsiveness else []
         self.y_moves = _backwards(self.x_moves)
-        # under anonymity a decision fixes its cell's tally class, built when first
-        # met; moves, the dual and R_q map classes onto classes, so states stay unions
-        self.anonymity, self.seeds = anonymity, {}
         # where each quota-q rule, keyed by reform, elects Y; R_q is where either reform wins
         self.elects_y = {_X: _lift(n, lambda a, b: a < q), _Y: _lift(n, lambda a, b: b >= q)}
         self.in_rq = self.elects_y[_Y] | self.valid ^ self.elects_y[_X] if neutrality else 0
@@ -111,8 +110,8 @@ class _FullSpace:
 
     @staticmethod
     def pick(free: int) -> int:
-        # the highest free cell: the lowest about doubled the in-process time
-        # of all quotas, n=8 9 -> 17 ms and n=10 38 -> 93 ms (2 vCPUs)
+        # the highest free cell: the lowest took n=8 1.4 -> 3.7 ms and n=10 (cap
+        # lifted) 8.6 -> 40 ms in-process over the qualified quotas (2 vCPUs)
         return free.bit_length() - 1
 
     @staticmethod
@@ -120,15 +119,8 @@ class _FullSpace:
         return o
 
     def seed(self, cell: int) -> tuple[int, int]:
-        """The cells a decision at ``cell`` fixes and their duals, or 0 without q-neutrality."""
-        if not self.anonymity:
-            return 1 << cell, _dual(self.n, 1 << cell, self.masks) if self.neutrality else 0
-        digits = [cell // 3**i % 3 for i in range(self.n)]
-        key = digits.count(0), digits.count(1)
-        if key not in self.seeds:
-            cells = _lift(self.n, lambda a, b: (a, b) == key)
-            self.seeds[key] = cells, _dual(self.n, cells, self.masks) if self.neutrality else 0
-        return self.seeds[key]
+        """The cell a decision fixes and its dual, or 0 without q-neutrality."""
+        return 1 << cell, _dual(self.n, 1 << cell, self.masks) if self.neutrality else 0
 
 
 def _reached(cells: int, moves) -> int:
@@ -159,8 +151,7 @@ class _AnonymousSpace:
     past_cap = ""
     cells = staticmethod(num_tally_classes)
 
-    def __init__(self, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool):
-        # anonymity holds for every rule of this space by construction
+    def __init__(self, n: int, q: int, responsiveness: bool, neutrality: bool):
         self.n, self.w, self.neutrality = n, 2 * n + 2, neutrality
         self.valid = valid = sum((1 << n + 1 - a) - 1 << a * self.w for a in range(n + 1))
         # shifts by 1, 2, 4, ... <= n cells, each from the valid cells whose
@@ -189,7 +180,17 @@ class _AnonymousSpace:
         return 1 << cell, 1 << b * self.w + a if self.neutrality else 0
 
 
-_SPACES = {SPACE_FULL: _FullSpace, SPACE_ANONYMOUS: _AnonymousSpace}
+class _LiftedSpace(_AnonymousSpace):
+    """The full space under anonymity: a winner depends on the tally alone,
+    so these rules are the grid's, each lifted to its classes' profiles."""
+
+    name, past_cap, cells = _FullSpace.name, _FullSpace.past_cap, staticmethod(_FullSpace.cells)
+
+    def encoding(self, o: int) -> int:
+        return _lift(self.n, lambda a, b: o >> a * self.w + b & 1)
+
+
+_SPACES = {SPACE_FULL: _LiftedSpace, SPACE_ANONYMOUS: _AnonymousSpace}
 
 
 def _close(space, state, new):
@@ -254,18 +255,17 @@ def _solutions(space, limit: int) -> list[int]:
 
 
 def _survivors(
-    space, n: int, q: int, anonymity: bool, responsiveness: bool, neutrality: bool
+    space, n: int, q: int, responsiveness: bool, neutrality: bool
 ) -> tuple[object, list[int]]:
     """(the space's clauses at n and q, ascending encodings of the rules
     passing the selected axioms), guarded by the cell and survivor caps."""
     _guard_cells(space, n)
     if not 0 <= q <= n:
         raise ValueError(f"quota must lie in 0..{n}, got {q}")
-    # with no axiom selected all 2^cells rules pass, so a count past the cap
-    # is known without listing them
-    every_rule = not (anonymity or responsiveness or neutrality)
-    if not (every_rule and 1 << space.cells(n) > _MAX_SURVIVORS):
-        clauses = space(n, q, anonymity, responsiveness, neutrality)
+    clauses = space(n, q, responsiveness, neutrality)
+    # with neither axiom every rule on the searched cells passes, so a count
+    # past the cap is known without listing them
+    if responsiveness or neutrality or 1 << clauses.valid.bit_count() <= _MAX_SURVIVORS:
         survivors = _solutions(clauses, _MAX_SURVIVORS + 1)
         if len(survivors) <= _MAX_SURVIVORS:  # a refusal encodes none of them
             return clauses, sorted(map(clauses.encoding, survivors))
@@ -285,7 +285,8 @@ def survivors_full(
     use_neutrality: bool = True,
 ) -> list[int]:
     """Encodings of the full-space rules passing the selected axioms."""
-    return _survivors(_FullSpace, n, q, use_anonymity, use_responsiveness, use_neutrality)[1]
+    space = _LiftedSpace if use_anonymity else _FullSpace
+    return _survivors(space, n, q, use_responsiveness, use_neutrality)[1]
 
 
 def survivors_anonymous(
@@ -299,7 +300,7 @@ def survivors_anonymous(
 
     Anonymity itself holds for every rule of this space by construction.
     """
-    return _survivors(_AnonymousSpace, n, q, False, use_responsiveness, use_neutrality)[1]
+    return _survivors(_AnonymousSpace, n, q, use_responsiveness, use_neutrality)[1]
 
 
 class SurvivorInfo(FrozenValue):
@@ -356,7 +357,7 @@ def _build_result(clauses, q: int, survivors: list[int], elapsed_ms: float) -> V
 
 def enumerate_full(n: int, q: int) -> VerificationResult:
     """Decide all 2^(3^n) profile tables and intersect the three axiom sets."""
-    return _enumerate(_FullSpace, n, q)
+    return _enumerate(_LiftedSpace, n, q)
 
 
 def enumerate_anonymous(n: int, q: int) -> VerificationResult:
@@ -371,7 +372,7 @@ def enumerate_anonymous(n: int, q: int) -> VerificationResult:
 
 def _enumerate(space, n: int, q: int) -> VerificationResult:
     start = time.perf_counter()
-    clauses, survivors = _survivors(space, n, q, True, True, True)
+    clauses, survivors = _survivors(space, n, q, True, True)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return _build_result(clauses, q, survivors, elapsed_ms)
 

@@ -51,7 +51,7 @@ def test_decide_rejects_unqualified_quota(tmp_path):
     path = write_ballot_file(tmp_path, ["X"] * 9)
     proc = run_cli("decide", "--ballots", str(path), "--q", "4", "--reform", "X")
     assert proc.returncode == 3
-    assert "q > n/2" in proc.stderr
+    assert proc.stderr == "error: quota 4 is not qualified for n=9: need 0 <= q <= n and 2q > n\n"
     assert proc.stdout == ""
 
 

@@ -165,48 +165,43 @@ def test_grid_cells_map_to_their_tally_classes():
         for a in range(n + 1):
             for b in range(n + 1 - a):
                 grid = 1 << a * (2 * n + 2) + b
-                encoding = verifier._AnonymousSpace(n, 0, False, True, True).encoding(grid)
+                encoding = verifier._AnonymousSpace(n, 0, True, True).encoding(grid)
                 assert encoding == 1 << tally_class_index(n, a, b), (n, a, b)
 
 
 def cell_spaces(n):
-    """(layout class, anonymity, oracle tables, the layout's bit for each
-    table cell, the voter swaps) at n voters: the full space up to n=6,
-    with anonymity on and off, and the anonymous space."""
+    """(layout class, oracle tables, the layout's bit for each table cell)
+    at n voters: the full space without anonymity up to n=6, and the
+    anonymous space, which the full space under anonymity searches too."""
     spaces = []
     if n <= 6:
-        cells = reference_profile_cells(n)
-        for anonymity in (True, False):
-            swaps = cells.trans if anonymity else []
-            spaces.append((verifier._FullSpace, anonymity, cells, range(3**n), swaps))
-    cells = reference_tally_cells(n)
+        spaces.append((verifier._FullSpace, reference_profile_cells(n), range(3**n)))
     grid = [a * (2 * n + 2) + b for a, b in tally_classes(n)]
-    spaces.append((verifier._AnonymousSpace, True, cells, grid, []))
+    spaces.append((verifier._AnonymousSpace, reference_tally_cells(n), grid))
     return spaces
 
 
 def cell_layouts(all_quotas=False):
     """(layout, oracle tables, the layout's bit for each table cell, the
-    cells one move toward X and toward Y away, the voter swaps) for the
-    full space at n=1..6 and the anonymous space at n=1..7, with
-    responsiveness and, in the full space, anonymity each on and off, at
-    q = n or at every quota. A dropped axiom leaves no moves or swaps."""
+    cells one move toward X and toward Y away) for the full space at
+    n=1..6 and the anonymous space at n=1..7, with responsiveness on and
+    off, at q = n or at every quota. A dropped axiom leaves no moves."""
     for n in range(1, 8):
-        for space, anonymity, cells, bits, swaps in cell_spaces(n):
+        for space, cells, bits in cell_spaces(n):
             no_moves = [[]] * len(bits)
             for responsiveness in (True, False):
                 moves = (cells.x_targets, cells.y_targets) if responsiveness else (no_moves,) * 2
                 for q in range(n + 1) if all_quotas else [n]:
-                    layout = space(n, q, anonymity, responsiveness, True)
-                    yield layout, cells, bits, moves, swaps
+                    layout = space(n, q, responsiveness, True)
+                    yield layout, cells, bits, moves
 
 
-def reached(start, targets, swaps):
-    """The cells reachable from ``start`` along ``targets`` and ``swaps``."""
+def reached(start, targets):
+    """The cells reachable from ``start`` along ``targets``."""
     seen, todo = {start}, [start]
     while todo:
         k = todo.pop()
-        for t in targets[k] + [row[k] for row in swaps]:
+        for t in targets[k]:
             if t not in seen:
                 seen.add(t)
                 todo.append(t)
@@ -215,28 +210,24 @@ def reached(start, targets, swaps):
 
 def test_each_layout_closes_a_cell_as_the_profile_level_moves_do():
     # one call of a closure is complete: the search closes only the cells
-    # new to a state and relies on it. A decision seeds the cell's class
-    # under the voter swaps, so the moves alone close what the swaps reach
-    for layout, cells, bits, moves, swaps in cell_layouts():
+    # new to a state and relies on it
+    for layout, cells, bits, moves in cell_layouts():
         for k in range(cells.ncells):
             seed = layout.seed(bits[k])[0]
             for toward, targets in zip((layout.x_moves, layout.y_moves), moves):
-                want = sum(1 << bits[t] for t in reached(k, targets, swaps))
+                want = sum(1 << bits[t] for t in reached(k, targets))
                 got = verifier._reached(seed, toward)
                 assert got == want, (layout.name, layout.n, toward is layout.x_moves, k)
 
 
 def test_each_layout_mirrors_a_cell_to_its_dual():
-    # a decision seeds the cell's class under the voter swaps, which is the
-    # cell alone without anonymity, and mirrors it to the dual's class
-    for layout, cells, bits, _, swaps in cell_layouts():
-        no_moves = [[]] * cells.ncells
-        swept = [sum(1 << bits[t] for t in reached(k, no_moves, swaps)) for k in range(len(bits))]
+    # a decision seeds its cell alone and mirrors it to the dual
+    for layout, cells, bits, _ in cell_layouts():
         for k, d in enumerate(cells.dual_idx):
-            assert layout.seed(bits[k]) == (swept[k], swept[d]), (layout.name, layout.n, k)
+            assert layout.seed(bits[k]) == (1 << bits[k], 1 << bits[d]), (layout.name, layout.n, k)
     # without q-neutrality a layout has no mirrors and no quota region
     for space in (verifier._FullSpace, verifier._AnonymousSpace):
-        layout = space(3, 2, True, True, False)
+        layout = space(3, 2, True, False)
         assert layout.in_rq == layout.out_rq == 0
         assert not any(layout.seed(k)[1] for k in range(layout.valid.bit_length()))
 
@@ -245,9 +236,9 @@ def test_each_layout_holds_r_q_where_some_alternative_has_q_supporters():
     # R_q is built from the quota-q rules' threshold sets, and the oracle
     # reads it off each cell's support, max(n_x, n_y)
     for n in range(1, 8):
-        for space, anonymity, cells, bits, _ in cell_spaces(n):
+        for space, cells, bits in cell_spaces(n):
             for q in range(n + 1):
-                layout = space(n, q, anonymity, True, True)
+                layout = space(n, q, True, True)
                 sides = [0, 0]  # the cells outside and inside R_q
                 for k, support in enumerate(cells.support):
                     sides[support >= q] |= 1 << bits[k]
@@ -269,7 +260,7 @@ def recorded_states(monkeypatch):
 
 def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
     states = recorded_states(monkeypatch)
-    for layout, cells, bits, _, _ in cell_layouts(all_quotas=True):
+    for layout, cells, bits, _ in cell_layouts(all_quotas=True):
         del states[:]
         verifier._solutions(layout, 64)
         assert states, (layout.name, layout.n)
@@ -278,24 +269,6 @@ def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
             z, o, zd, od = state
             mirrors = [sum(1 << d for k, d in duals if cell_set >> k & 1) for cell_set in (z, o)]
             assert [zd, od] == mirrors, (layout.name, layout.n, layout.in_rq)
-
-
-def test_search_states_are_unions_of_tally_classes_under_anonymity(monkeypatch):
-    # a decision seeds a whole tally class, and the closures keep unions of
-    # classes, so every closed state meets each anonymity clause
-    states = recorded_states(monkeypatch)
-    for layout, cells, bits, _, swaps in cell_layouts(all_quotas=True):
-        if not swaps:  # the full space without anonymity, or the anonymous space
-            continue
-        del states[:]
-        verifier._solutions(layout, 64)
-        assert states, (layout.name, layout.n)
-        for state in filter(None, states):
-            for cell_set in state[:2]:
-                held = [k for k in range(cells.ncells) if cell_set >> bits[k] & 1]
-                for row in swaps:
-                    swapped = sum(1 << bits[row[k]] for k in held)
-                    assert swapped == cell_set, (layout.n, layout.in_rq, bin(cell_set))
 
 
 # --- enumeration guard rails ------------------------------------------------
@@ -353,6 +326,10 @@ def test_survivor_cap_refuses_without_listing_solutions(monkeypatch):
             survivors_anonymous(n, 3, **no_axioms)
     with pytest.raises(GuardError, match="more than 65,536"):
         survivors_full(3, 2, use_anonymity=False, **no_axioms)
+    # under anonymity alone the count is 2 to the tally classes: 2^21 at n=5
+    for n in (5, 8):
+        with pytest.raises(GuardError, match="more than 65,536"):
+            survivors_full(n, 3, **no_axioms)
 
 
 def test_bad_quota_rejected():
@@ -524,7 +501,7 @@ def test_engines_agree_on_the_full_space_n2():
 
 
 def test_engines_agree_on_the_full_space_n3_with_one_axiom_dropped():
-    # with anonymity kept, each decision fixes a tally class, and dropping
+    # with anonymity kept, the search runs on the tally grid, and dropping
     # responsiveness leaves many classes free: 64 survivors at q=2.
     # Responsiveness and anonymity do not depend on q, so one q drops neutrality
     for q in range(4):
@@ -636,17 +613,32 @@ def anonymous_cell_counts(n):
 def test_each_space_encodes_the_quota_rules_as_their_cell_counts_do():
     spaces = (
         (verifier._FullSpace, full_cell_counts),
+        (verifier._LiftedSpace, full_cell_counts),
         (verifier._AnonymousSpace, anonymous_cell_counts),
     )
     for n in range(1, 7):
         for q in qualified_quotas(n):
             for space, cell_counts in spaces:
-                clauses = space(n, q, True, True, True)
+                clauses = space(n, q, True, True)
                 found = sorted(
                     clauses.encoding(clauses.elects_y[rule.reform])
                     for rule in qualified_majority_rules(n, q)
                 )
                 assert found == quota_rule_encodings(cell_counts(n), q), (space.name, n, q)
+
+
+def test_the_lifted_space_encodes_each_grid_class_as_its_profiles():
+    # the full space under anonymity searches the grid and lifts each class
+    # to exactly the profiles with that tally
+    for n in range(1, 7):
+        layout = verifier._LiftedSpace(n, n, True, True)
+        for a, b in tally_classes(n):
+            want = sum(
+                1 << i
+                for i, profile in enumerate(all_profiles(n))
+                if counts(profile)[:2] == (a, b)
+            )
+            assert layout.encoding(1 << a * layout.w + b) == want, (n, a, b)
 
 
 def test_search_theorem_full_n3_to_n5():
