@@ -208,33 +208,22 @@ def check(args) -> int:
 
 
 def _run_enumerations(n, quotas, space):
-    from .verifier import enumerate_anonymous, enumerate_full
+    from .verifier import _SPACES, _enumerate
 
-    runner = enumerate_full if space == SPACE_FULL else enumerate_anonymous
-    results = []
-    for q in quotas:
-        try:
-            results.append(runner(n, q))
-        except ValueError as exc:  # GuardError included
-            _die(EXIT_GUARD, str(exc))
-    return results
+    try:
+        return _enumerate(_SPACES[space], n, quotas)
+    except ValueError as exc:  # GuardError included
+        _die(EXIT_GUARD, str(exc))
 
 
 def verify(args) -> int:
     """Enumerate a rule space and compare survivors against the quota rules."""
-    from .verifier import GuardError, _guard_voters
-
-    n = args.n
     if (args.q is None) and not args.all_q:
         _die(EXIT_BAD_INPUT, "provide --q or --all-q")
     if (args.q is not None) and args.all_q:
         _die(EXIT_BAD_INPUT, "--q and --all-q are mutually exclusive")
-    try:
-        _guard_voters(n)
-    except GuardError as exc:
-        _die(EXIT_GUARD, str(exc))
-    quotas = range(n + 1) if args.all_q else [args.q]
-    results = _run_enumerations(n, quotas, args.space)
+    quotas = range(args.n + 1) if args.all_q else [args.q]
+    results = _run_enumerations(args.n, quotas, args.space)
     _emit([r.to_json_dict(include_timing=not args.no_timing) for r in results])
     return EXIT_OK if all(r.matches_theorem for r in results) else EXIT_FAILED
 

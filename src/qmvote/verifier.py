@@ -20,13 +20,15 @@ The layout class is the anonymity axiom: ``_AnonymousSpace`` lays the
 tally classes out on a grid; ``_LiftedSpace``, the full space under
 anonymity, searches that grid and lifts each survivor to the profiles of
 its classes; ``_FullSpace``, the full space without anonymity, numbers
-cells by canonical profile index, as ``check`` does. A layout holds its
-cells, the cells where each quota-q rule elects Y (keyed by reform), R_q
-where either reform wins, its moves toward X and toward Y as masked
-shifts, which ``_reached`` follows in one pass, the seed of a decision
-(its cell and the cell's mirror), the branching order and the encoding
-of a cell set (on the grid by ``rules._pack_rows``, lifted by
-``core._lift``); an axiom a call drops is absent from it.
+cells by canonical profile index, as ``check`` does. One layout serves
+every quota at n: it holds its cells, its moves toward X and toward Y as
+masked shifts, which ``_reached`` follows in one pass, the seed of a
+decision (its cell and the cell's mirror), the branching order and the
+encoding of a cell set (on the grid by ``rules._pack_rows``, lifted by
+``core._lift``), and ``at(q)`` sets where each quota-q rule elects Y and
+R_q, where either wins. An axiom a call drops is absent from it, and the
+survivors are matched to the quota rules by cell set, so only they are
+encoded.
 This module imports nothing profile-level: the profile-level checkers
 and the balanced-profile argument for 2q <= n live in ``axioms``, which
 ``verify`` and ``enumerate`` never load. The tests check the search
@@ -69,25 +71,32 @@ class GuardError(ValueError):
     """Raised when an enumeration would be infeasibly large."""
 
 
-def _guard_voters(n: int) -> None:
+def _layout(space, n: int, responsiveness: bool, neutrality: bool):
+    """The space's layout at n voters, once the cell guard admits n."""
     if n < 2:
         raise GuardError("rule-space verification needs at least two voters")
-
-
-def _guard_cells(space, n: int) -> None:
-    _guard_voters(n)
     where = f"{space.name} space at n={n}"
     # past n=200 either space is far over the cap (anonymous: 20,301 cells),
     # so the count, 3^n for the full space, is neither computed nor printed
     if n <= 200:
         cells = space.cells(n)
         if cells <= _MAX_CELLS:
-            return
+            return space(n, responsiveness, neutrality)
         where += f" has {cells:,} cells,"
     raise GuardError(f"{where} past the {_MAX_CELLS:,}-cell limit{space.past_cap}")
 
 
-class _FullSpace:
+class _Layout:
+    def at(self, q: int):
+        """This layout at quota q: where each quota-q rule, keyed by reform,
+        elects Y, and R_q, where either wins (empty without q-neutrality)."""
+        self.elects_y = dict(zip((_X, _Y), self.threshold_sets(q)))
+        self.in_rq = self.elects_y[_Y] | self.valid ^ self.elects_y[_X] if self.neutrality else 0
+        self.out_rq = self.valid ^ self.in_rq if self.neutrality else 0
+        return self
+
+
+class _FullSpace(_Layout):
     """The full space without anonymity: cells are profile indices, as in
     ``check``, and the clauses are masked shifts of 3^n-bit sets."""
 
@@ -98,15 +107,15 @@ class _FullSpace:
     def cells(n: int) -> int:
         return 3**n
 
-    def __init__(self, n: int, q: int, responsiveness: bool, neutrality: bool):
+    def __init__(self, n: int, responsiveness: bool, neutrality: bool):
         self.n, self.masks, self.neutrality = n, _voter_masks(n), neutrality
         self.valid = (1 << 3**n) - 1
         self.x_moves = [move[:2] for move in _x_moves(n, self.masks)] if responsiveness else []
         self.y_moves = _backwards(self.x_moves)
-        # where each quota-q rule, keyed by reform, elects Y; R_q is where either reform wins
-        self.elects_y = {_X: _lift(n, lambda a, b: a < q), _Y: _lift(n, lambda a, b: b >= q)}
-        self.in_rq = self.elects_y[_Y] | self.valid ^ self.elects_y[_X] if neutrality else 0
-        self.out_rq = self.valid ^ self.in_rq if neutrality else 0
+
+    def threshold_sets(self, q: int) -> tuple[int, int]:
+        """Where reform X and where reform Y elects Y at quota q."""
+        return _lift(self.n, lambda a, b: a < q), _lift(self.n, lambda a, b: b >= q)
 
     @staticmethod
     def pick(free: int) -> int:
@@ -137,7 +146,7 @@ def _backwards(moves) -> list:
     return [(held << k if k > 0 else held >> -k, -k) for held, k in reversed(moves)]
 
 
-class _AnonymousSpace:
+class _AnonymousSpace(_Layout):
     """The anonymous space's layout: tally classes on a grid.
 
     Class (n_x, n_y) = (a, b) sits at bit a*W + b, in rows of W = 2n + 2
@@ -151,21 +160,21 @@ class _AnonymousSpace:
     past_cap = ""
     cells = staticmethod(num_tally_classes)
 
-    def __init__(self, n: int, q: int, responsiveness: bool, neutrality: bool):
+    def __init__(self, n: int, responsiveness: bool, neutrality: bool):
         self.n, self.w, self.neutrality = n, 2 * n + 2, neutrality
         self.valid = valid = sum((1 << n + 1 - a) - 1 << a * self.w for a in range(n + 1))
+        self.column = valid & ~(valid << 1)  # the cells b = 0
         # shifts by 1, 2, 4, ... <= n cells, each from the valid cells whose
         # target is valid: no padding moves, so none reaches another row
         doubling = [1 << i for i in range(n.bit_length())] if responsiveness else []
         shifts = [-d for d in doubling] + [d * self.w for d in doubling]
         self.x_moves = [(valid & (valid >> k if k > 0 else valid << -k), k) for k in shifts]
         self.y_moves = _backwards(self.x_moves)
-        # reform X elects Y in the rows a < q, the low q*W bits, and reform Y
-        # in the cells b >= q, off the first column shifted by 0..q-1 cells
-        column = valid & ~(valid << 1)
-        self.elects_y = {_X: valid & (1 << q * self.w) - 1, _Y: valid & ~(column * ((1 << q) - 1))}
-        self.in_rq = self.elects_y[_Y] | valid ^ self.elects_y[_X] if neutrality else 0
-        self.out_rq = valid ^ self.in_rq if neutrality else 0
+
+    def threshold_sets(self, q: int) -> tuple[int, int]:
+        """Reform X elects Y in the rows a < q, the low q*W bits, and reform
+        Y in the cells b >= q, off the first column shifted by 0..q-1 cells."""
+        return self.valid & (1 << q * self.w) - 1, self.valid & ~(self.column * ((1 << q) - 1))
 
     @staticmethod
     def pick(free: int) -> int:
@@ -254,24 +263,22 @@ def _solutions(space, limit: int) -> list[int]:
     return found
 
 
-def _survivors(
-    space, n: int, q: int, responsiveness: bool, neutrality: bool
-) -> tuple[object, list[int]]:
-    """(the space's clauses at n and q, ascending encodings of the rules
-    passing the selected axioms), guarded by the cell and survivor caps."""
-    _guard_cells(space, n)
+def _survivors(layout, q: int) -> list[tuple[int, int]]:
+    """(encoding, cell set) of each rule passing the layout's axioms at
+    quota q, ascending by encoding, guarded by the survivor cap."""
+    n = layout.n
     if not 0 <= q <= n:
         raise ValueError(f"quota must lie in 0..{n}, got {q}")
-    clauses = space(n, q, responsiveness, neutrality)
-    # with neither axiom every rule on the searched cells passes, so a count
-    # past the cap is known without listing them
-    if responsiveness or neutrality or 1 << clauses.valid.bit_count() <= _MAX_SURVIVORS:
-        survivors = _solutions(clauses, _MAX_SURVIVORS + 1)
+    layout.at(q)
+    # a layout with no moves and no mirrors has no clause, so every rule on
+    # its cells passes and a count past the cap is known without listing them
+    if layout.x_moves or layout.neutrality or 1 << layout.valid.bit_count() <= _MAX_SURVIVORS:
+        survivors = _solutions(layout, _MAX_SURVIVORS + 1)
         if len(survivors) <= _MAX_SURVIVORS:  # a refusal encodes none of them
-            return clauses, sorted(map(clauses.encoding, survivors))
+            return sorted((layout.encoding(o), o) for o in survivors)
     # only a call that drops axioms gets here
     raise GuardError(
-        f"more than {_MAX_SURVIVORS:,} rules of the {space.name} space at n={n} "
+        f"more than {_MAX_SURVIVORS:,} rules of the {layout.name} space at n={n} "
         "pass the selected axioms; select more axioms"
     )
 
@@ -286,7 +293,7 @@ def survivors_full(
 ) -> list[int]:
     """Encodings of the full-space rules passing the selected axioms."""
     space = _LiftedSpace if use_anonymity else _FullSpace
-    return _survivors(space, n, q, use_responsiveness, use_neutrality)[1]
+    return [enc for enc, _ in _survivors(_layout(space, n, use_responsiveness, use_neutrality), q)]
 
 
 def survivors_anonymous(
@@ -300,7 +307,8 @@ def survivors_anonymous(
 
     Anonymity itself holds for every rule of this space by construction.
     """
-    return _survivors(_AnonymousSpace, n, q, use_responsiveness, use_neutrality)[1]
+    layout = _layout(_AnonymousSpace, n, use_responsiveness, use_neutrality)
+    return [enc for enc, _ in _survivors(layout, q)]
 
 
 class SurvivorInfo(FrozenValue):
@@ -329,35 +337,32 @@ class VerificationResult(FrozenValue):
         return doc
 
 
-def _build_result(clauses, q: int, survivors: list[int], elapsed_ms: float) -> VerificationResult:
-    """The report for one quota. Table encodings are canonical (one per rule
-    as a function), so the theorem holds iff the survivor encodings are
-    exactly the layout's ``elects_y`` sets of the quota-q rules."""
-    n = clauses.n
-    names = {
-        clauses.encoding(clauses.elects_y[rule.reform]): rule.pretty()
-        for rule in qualified_majority_rules(n, q)
-    }
+def _build_result(layout, q: int, survivors, elapsed_ms: float) -> VerificationResult:
+    """The report on ``_survivors(layout, q)``. Each survivor and threshold set
+    lies in ``valid``, where ``encoding`` is one-to-one, so the theorem holds
+    iff the survivors' cell sets are exactly the layout's ``elects_y`` sets."""
+    n = layout.n
+    names = {layout.elects_y[rule.reform]: rule.pretty() for rule in qualified_majority_rules(n, q)}
     # the decimal label of a large encoding is costly, so only an unnamed
     # survivor gets one
     infos = tuple(
-        SurvivorInfo(enc, names[enc] if enc in names else f"table@{enc}")
-        for enc in survivors
+        SurvivorInfo(enc, names[cells] if cells in names else f"table@{enc}")
+        for enc, cells in survivors
     )
     return VerificationResult(
         n=n,
         q=q,
-        space=clauses.name,
-        rules_examined=1 << clauses.cells(n),
+        space=layout.name,
+        rules_examined=1 << layout.cells(n),
         survivors=infos,
-        matches_theorem=sorted(survivors) == sorted(names),
+        matches_theorem=sorted(cells for _, cells in survivors) == sorted(names),
         elapsed_ms=elapsed_ms,
     )
 
 
 def enumerate_full(n: int, q: int) -> VerificationResult:
     """Decide all 2^(3^n) profile tables and intersect the three axiom sets."""
-    return _enumerate(_LiftedSpace, n, q)
+    return _enumerate(_LiftedSpace, n, [q])[0]
 
 
 def enumerate_anonymous(n: int, q: int) -> VerificationResult:
@@ -367,18 +372,23 @@ def enumerate_anonymous(n: int, q: int) -> VerificationResult:
     intersected axioms, and every anonymous rule has exactly one tally
     table representative.
     """
-    return _enumerate(_AnonymousSpace, n, q)
+    return _enumerate(_AnonymousSpace, n, [q])[0]
 
 
-def _enumerate(space, n: int, q: int) -> VerificationResult:
-    start = time.perf_counter()
-    clauses, survivors = _survivors(space, n, q, True, True)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return _build_result(clauses, q, survivors, elapsed_ms)
+def _enumerate(space, n: int, quotas) -> list[VerificationResult]:
+    """The reports at ``quotas``, on one layout; ``elapsed_ms`` times a search."""
+    layout = _layout(space, n, True, True)
+    results = []
+    for q in quotas:
+        start = time.perf_counter()
+        survivors = _survivors(layout, q)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        results.append(_build_result(layout, q, survivors, elapsed_ms))
+    return results
 
 
 def verify_characterization(n: int, q: int, space: str = SPACE_FULL) -> bool:
     """True iff the enumeration at this single q matches the expected rule set."""
     if space not in _SPACES:
         raise ValueError(f"unknown space {space!r}")
-    return _enumerate(_SPACES[space], n, q).matches_theorem
+    return _enumerate(_SPACES[space], n, [q])[0].matches_theorem

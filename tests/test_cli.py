@@ -401,6 +401,25 @@ def test_verify_all_q_needs_two_voters():
         assert "needs at least two voters" in proc.stderr
 
 
+def test_verify_all_q_builds_one_layout(monkeypatch, capsys):
+    # every quota is set on one layout of the space at n
+    from qmvote import verifier
+
+    built = []
+    init = verifier._AnonymousSpace.__init__  # _LiftedSpace's too
+
+    def counting(self, *args):
+        built.append(self.name)
+        init(self, *args)
+
+    monkeypatch.setattr(verifier._AnonymousSpace, "__init__", counting)
+    for space, n in (("anonymous", 12), ("full", 4)):
+        del built[:]
+        assert main(["verify", "--n", str(n), "--all-q", "--space", space, "--no-timing"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == n + 1
+        assert built == [space], (space, n)
+
+
 def test_verify_needs_exactly_one_quota_option():
     assert run_cli("verify", "--n", "2").returncode == 2
     assert run_cli("verify", "--n", "2", "--q", "1", "--all-q").returncode == 2

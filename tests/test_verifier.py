@@ -165,7 +165,7 @@ def test_grid_cells_map_to_their_tally_classes():
         for a in range(n + 1):
             for b in range(n + 1 - a):
                 grid = 1 << a * (2 * n + 2) + b
-                encoding = verifier._AnonymousSpace(n, 0, True, True).encoding(grid)
+                encoding = verifier._AnonymousSpace(n, True, True).encoding(grid)
                 assert encoding == 1 << tally_class_index(n, a, b), (n, a, b)
 
 
@@ -192,7 +192,7 @@ def cell_layouts(all_quotas=False):
             for responsiveness in (True, False):
                 moves = (cells.x_targets, cells.y_targets) if responsiveness else (no_moves,) * 2
                 for q in range(n + 1) if all_quotas else [n]:
-                    layout = space(n, q, responsiveness, True)
+                    layout = space(n, responsiveness, True).at(q)
                     yield layout, cells, bits, moves
 
 
@@ -227,7 +227,7 @@ def test_each_layout_mirrors_a_cell_to_its_dual():
             assert layout.seed(bits[k]) == (1 << bits[k], 1 << bits[d]), (layout.name, layout.n, k)
     # without q-neutrality a layout has no mirrors and no quota region
     for space in (verifier._FullSpace, verifier._AnonymousSpace):
-        layout = space(3, 2, True, False)
+        layout = space(3, True, False).at(2)
         assert layout.in_rq == layout.out_rq == 0
         assert not any(layout.seed(k)[1] for k in range(layout.valid.bit_length()))
 
@@ -238,7 +238,7 @@ def test_each_layout_holds_r_q_where_some_alternative_has_q_supporters():
     for n in range(1, 8):
         for space, cells, bits in cell_spaces(n):
             for q in range(n + 1):
-                layout = space(n, q, True, True)
+                layout = space(n, True, True).at(q)
                 sides = [0, 0]  # the cells outside and inside R_q
                 for k, support in enumerate(cells.support):
                     sides[support >= q] |= 1 << bits[k]
@@ -269,6 +269,49 @@ def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
             z, o, zd, od = state
             mirrors = [sum(1 << d for k, d in duals if cell_set >> k & 1) for cell_set in (z, o)]
             assert [zd, od] == mirrors, (layout.name, layout.n, layout.in_rq)
+
+
+def test_one_layout_answers_each_quota_as_a_fresh_layout_does(monkeypatch):
+    # a quota enters a layout only through ``at``, so a layout taken through
+    # every quota, down and then up, keeps nothing of the last one; a lower
+    # survivor cap keeps the listings short, and its refusals must match too
+    monkeypatch.setattr(verifier, "_MAX_SURVIVORS", 1 << 10)
+
+    def outcome(layout, q):
+        try:
+            found = verifier._survivors(layout, q)
+        except GuardError as exc:
+            found = str(exc)
+        return found, dict(vars(layout))
+
+    cases = [(verifier._AnonymousSpace, n) for n in range(2, 9)]
+    for space in (verifier._LiftedSpace, verifier._FullSpace):
+        cases += [(space, n) for n in range(2, 5)]
+    for (space, n), axioms in itertools.product(cases, itertools.product((True, False), repeat=2)):
+        shared = space(n, *axioms)
+        for q in [*range(n, -1, -1), *range(n + 1)]:
+            assert outcome(shared, q) == outcome(space(n, *axioms), q), (space.name, n, axioms, q)
+
+
+def test_a_report_names_only_the_quota_rules_cell_sets():
+    # a survivor is named by its cell set; any other is labelled by its encoding
+    for space in (verifier._FullSpace, verifier._LiftedSpace, verifier._AnonymousSpace):
+        layout = space(3, True, True).at(2)
+        rule, other = layout.elects_y[X], layout.valid ^ layout.elects_y[X]
+        survivors = sorted((layout.encoding(cells), cells) for cells in (rule, other))
+        result = verifier._build_result(layout, 2, survivors, 0.0)
+        named = {info.encoding: info.pretty for info in result.survivors}
+        assert named == {
+            layout.encoding(rule): QualifiedMajorityRule(3, 2, X).pretty(),
+            layout.encoding(other): f"table@{layout.encoding(other)}",
+        }, layout.name
+        assert not result.matches_theorem
+        # at an unqualified quota there is no quota rule to name
+        layout.at(1)
+        survivors = sorted((layout.encoding(cells), cells) for cells in layout.elects_y.values())
+        result = verifier._build_result(layout, 1, survivors, 0.0)
+        assert [info.pretty for info in result.survivors] == [f"table@{e}" for e, _ in survivors]
+        assert not result.matches_theorem
 
 
 # --- enumeration guard rails ------------------------------------------------
@@ -619,7 +662,7 @@ def test_each_space_encodes_the_quota_rules_as_their_cell_counts_do():
     for n in range(1, 7):
         for q in qualified_quotas(n):
             for space, cell_counts in spaces:
-                clauses = space(n, q, True, True)
+                clauses = space(n, True, True).at(q)
                 found = sorted(
                     clauses.encoding(clauses.elects_y[rule.reform])
                     for rule in qualified_majority_rules(n, q)
@@ -631,7 +674,7 @@ def test_the_lifted_space_encodes_each_grid_class_as_its_profiles():
     # the full space under anonymity searches the grid and lifts each class
     # to exactly the profiles with that tally
     for n in range(1, 7):
-        layout = verifier._LiftedSpace(n, n, True, True)
+        layout = verifier._LiftedSpace(n, True, True)
         for a, b in tally_classes(n):
             want = sum(
                 1 << i
