@@ -158,9 +158,7 @@ def _load_rule(spec: str, n: int, anonymous: bool):
             _die(EXIT_GUARD, str(exc))
     line = _read_text(spec)
     try:
-        if anonymous:
-            return AnonymousTableRule.from_line(n, line)
-        return TableRule.from_line(n, line)
+        return (AnonymousTableRule if anonymous else TableRule).from_line(n, line)
     except ValueError as exc:
         _die(EXIT_BAD_INPUT, str(exc))
 

@@ -4,11 +4,11 @@ A profile holds one weak ordering per voter over the pair of alternatives,
 so every voter is in exactly one of three states: strictly for X, strictly
 for Y, or indifferent. Everything in this module is a pure function on
 immutable values; profiles compare structurally and hash. Four results
-are memoized in bounded caches shared across threads: ``tally`` and
-``dual`` per profile, ``all_profiles`` and ``adjacent_transpositions``
-per voter count. ``permute`` and ``responsive_neighbors`` are recomputed
-on every call. These operations serve the profile-level checkers in
-``axioms`` (the oracle), the rule encoders and the proof helpers.
+are memoized in bounded caches: ``tally`` and ``dual`` per profile,
+``all_profiles`` and ``adjacent_transpositions`` per voter count.
+``permute`` and ``responsive_neighbors`` are recomputed on every call.
+These operations serve the profile-level checkers in ``axioms`` (the
+oracle), the rule encoders and the proof helpers.
 
 The last part of the module is the axiom algebra that ``qmvote check``
 and ``qmvote verify`` share: a set of profiles is one int of 3^n bits,
@@ -38,14 +38,16 @@ class FrozenValue:
 
     A subclass names its fields in ``_fields``, in constructor order, and
     its trailing defaults in ``_defaults``, by field name. A subclass that
-    writes no ``__init__`` gets one taking ``_fields`` in order, compiled
-    once per class as ``dataclasses`` does it, so ``inspect.signature``
-    and CPython's own argument errors name the fields. A subclass that
-    validates its arguments writes its own ``__init__`` and sets each
-    field once through ``_set``. Instances compare and hash by their
-    field values and their exact class, refuse attribute assignment, and
-    repr as ``Class(field=value, ...)``: the semantics of a frozen
-    dataclass, without the start-up cost of ``dataclasses``.
+    neither writes nor inherits an ``__init__`` gets one taking ``_fields``
+    in order, compiled once per class as ``dataclasses`` does it, so
+    ``inspect.signature`` and CPython's own argument errors name the
+    fields. A subclass that validates its arguments writes its own
+    ``__init__`` and sets each field once through ``_set``, and its own
+    subclasses inherit that constructor, checks included. Instances
+    compare and hash by their field values and their exact class, refuse
+    attribute assignment, and repr as ``Class(field=value, ...)``: the
+    semantics of a frozen dataclass, without the start-up cost of
+    ``dataclasses``.
     """
 
     __slots__ = ()
@@ -55,7 +57,7 @@ class FrozenValue:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._key = attrgetter(*cls._fields)
-        if "__init__" not in cls.__dict__:
+        if cls.__init__ is object.__init__:
             fields, defaults = cls._fields, cls._defaults
             # defaults are bound by name in the function's namespace, never by repr
             namespace = {f"_default_{name}": value for name, value in defaults.items()}

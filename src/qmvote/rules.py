@@ -4,15 +4,18 @@ Two families live here: the parametric qualified majority rules (a reform
 alternative that wins exactly when its strict supporters reach a quota
 above half the voters), and explicit table rules, which pack their
 outputs into an integer, one bit per cell (0 = X wins, 1 = Y wins): the
-rule's encoding. A quota rule and an anonymous table answer on tallies
-through ``y_wins`` and share one ``evaluate``, and tally-class order is
-stated here alone, by ``tally_class_index`` and ``_pack_rows``.
+rule's encoding. The two table types, over profiles and over tally
+classes, share one base with the bounds check, the X/Y line and the
+encoder, and differ only in their cells. A quota rule and an anonymous
+table answer on tallies through ``y_wins`` and share one ``evaluate``,
+and tally-class order is stated here alone, by ``tally_class_index``
+and ``_pack_rows``.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 
 from .core import (
@@ -86,24 +89,6 @@ _XY_TO_DIGITS = str.maketrans("XY", "01")
 _NOT_XY = re.compile("[^XY]")
 
 
-def _table_line(bits: int, width: int) -> str:
-    """The X/Y line of a table encoding over ``width`` cells."""
-    return format(bits, f"0{width}b")[::-1].translate(_DIGITS_TO_XY)
-
-
-def _line_bits(line: str, width: int, table: str) -> int:
-    """The encoding of a table line, which must hold ``width`` X/Y characters."""
-    text = line.strip()
-    if len(text) != width:
-        raise ValueError(f"{table} needs {width} characters, got {len(text)}")
-    # counting is a fast scan; the search only names the first bad character
-    if text.count("X") + text.count("Y") != width:
-        bad = _NOT_XY.search(text)
-        raise ValueError(f"rule tables use only X and Y: {bad.group()!r} at position {bad.start()}")
-    # an empty line fits only n < 1, which the rule's own voter check refuses
-    return int(text[::-1].translate(_XY_TO_DIGITS) or "0", 2)
-
-
 class QualifiedMajorityRule(FrozenValue):
     """The reform wins exactly when its strict supporters reach the quota.
 
@@ -135,12 +120,12 @@ class QualifiedMajorityRule(FrozenValue):
         return f"sigma_{self.q}^{self.reform.value}"
 
 
-class TableRule(FrozenValue):
-    """A voting rule given extensionally: one output bit per profile.
+class _Table(FrozenValue):
+    """A rule given extensionally: bit k of ``bits`` is the output on cell k
+    (0 = X, 1 = Y), and character k of its text form, one line over {X, Y}.
 
-    Bit p of ``bits`` is the output on the profile with canonical index p
-    (0 = X, 1 = Y). The text form is a single line of 3^n characters over
-    {X, Y}, character position = profile index.
+    A subclass numbers the cells: ``_width(n)`` counts them, ``_cells(n)``
+    yields one profile per cell in order, and ``_space`` names the space.
     """
 
     __slots__ = _fields = ("n", "bits")
@@ -148,33 +133,63 @@ class TableRule(FrozenValue):
     def __init__(self, n: int, bits: int) -> None:
         if n < 1:
             raise ValueError("rule needs at least one voter")
-        if bits < 0 or bits >> (3**n):
+        if bits < 0 or bits >> self._width(n):
             raise ValueError(f"bits out of range for n={n}")
         self._set(n, bits)
+
+    def to_line(self) -> str:
+        return format(self.bits, f"0{self._width(self.n)}b")[::-1].translate(_DIGITS_TO_XY)
+
+    @classmethod
+    def from_line(cls, n: int, line: str) -> _Table:
+        """The table of a line, which must hold one X/Y character per cell."""
+        text, width = line.strip(), cls._width(n)
+        if len(text) != width:
+            table = f"{cls._space} rule table for n={n}"
+            raise ValueError(f"{table} needs {width} characters, got {len(text)}")
+        # counting is a fast scan; the search only names the first bad character
+        if text.count("X") + text.count("Y") != width:
+            bad = _NOT_XY.search(text)
+            at = f"{bad.group()!r} at position {bad.start()}"
+            raise ValueError(f"rule tables use only X and Y: {at}")
+        # an empty line fits only n < 1, which the rule's own voter check refuses
+        return cls(n, int(text[::-1].translate(_XY_TO_DIGITS) or "0", 2))
+
+    @classmethod
+    def from_rule(cls, rule, n: int) -> _Table:
+        """Encode a rule by evaluating it on each cell's profile.
+
+        An anonymous table evaluates one representative per class, so
+        callers must pass it an anonymous rule; a non-anonymous rule would
+        be silently canonicalized.
+        """
+        ev = evaluator(rule)
+        bits = 0
+        for k, profile in enumerate(cls._cells(n)):
+            if ev(profile) is Alternative.Y:
+                bits |= 1 << k
+        return cls(n, bits)
+
+
+class TableRule(_Table):
+    """A voting rule given extensionally: one output bit per profile.
+
+    Cell p is the profile with canonical index p, so the text form is a
+    line of 3^n characters, character position = profile index.
+    """
+
+    __slots__ = ()
+    _space = "full"
+    _width = staticmethod(lambda n: 3**n)
+    _cells = staticmethod(all_profiles)
 
     def evaluate(self, profile: Profile) -> Alternative:
         if profile.n != self.n:
             raise ValueError(f"rule is for n={self.n}, profile has n={profile.n}")
         return Alternative.Y if (self.bits >> profile.index) & 1 else Alternative.X
 
-    def to_line(self) -> str:
-        return _table_line(self.bits, 3**self.n)
 
-    @classmethod
-    def from_line(cls, n: int, line: str) -> "TableRule":
-        return cls(n, _line_bits(line, 3**n, f"full rule table for n={n}"))
-
-    @classmethod
-    def from_rule(cls, rule, n: int) -> "TableRule":
-        ev = evaluator(rule)
-        bits = 0
-        for p, profile in enumerate(all_profiles(n)):
-            if ev(profile) is Alternative.Y:
-                bits |= 1 << p
-        return cls(n, bits)
-
-
-class AnonymousTableRule(FrozenValue):
+class AnonymousTableRule(_Table):
     """An anonymous rule given extensionally: one output bit per tally class.
 
     Anonymity holds by construction, since evaluation factors through the
@@ -182,14 +197,14 @@ class AnonymousTableRule(FrozenValue):
     lexicographic class order.
     """
 
-    __slots__ = _fields = ("n", "bits")
+    __slots__ = ()
+    _space = "anonymous"
+    _width = staticmethod(num_tally_classes)
 
-    def __init__(self, n: int, bits: int) -> None:
-        if n < 1:
-            raise ValueError("rule needs at least one voter")
-        if bits < 0 or bits >> num_tally_classes(n):
-            raise ValueError(f"bits out of range for n={n}")
-        self._set(n, bits)
+    @staticmethod
+    def _cells(n: int) -> Iterator[Profile]:
+        for nx, ny in tally_classes(n):
+            yield Profile.from_counts(nx, ny, n - nx - ny)
 
     evaluate = _on_tallies
 
@@ -201,28 +216,6 @@ class AnonymousTableRule(FrozenValue):
         """The same rule as a profile-indexed table, lifted from the tally
         classes voter by voter, with no profile evaluated."""
         return TableRule(self.n, _lift(self.n, self.y_wins))
-
-    def to_line(self) -> str:
-        return _table_line(self.bits, num_tally_classes(self.n))
-
-    @classmethod
-    def from_line(cls, n: int, line: str) -> "AnonymousTableRule":
-        table = f"anonymous rule table for n={n}"
-        return cls(n, _line_bits(line, num_tally_classes(n), table))
-
-    @classmethod
-    def from_rule(cls, rule, n: int) -> "AnonymousTableRule":
-        """Encode an anonymous rule by evaluating one representative per class.
-
-        Callers must pass an anonymous rule; a non-anonymous rule would be
-        silently canonicalized.
-        """
-        ev = evaluator(rule)
-        bits = 0
-        for k, (nx, ny) in enumerate(tally_classes(n)):
-            if ev(Profile.from_counts(nx, ny, n - nx - ny)) is Alternative.Y:
-                bits |= 1 << k
-        return cls(n, bits)
 
 
 def qualified_majority_rules(n: int, q: int) -> frozenset[QualifiedMajorityRule]:

@@ -100,14 +100,16 @@ def test_lift_preserves_the_function():
     rule = AnonymousTableRule(3, 0b0101101001)
     lifted = rule.lift()
     assert rules_equal(rule, lifted, 3)
-    # every anonymous table at n=1, 2 and a spread at n=3, against the
-    # table of its own evaluation on every profile
+    # every anonymous table at n=1, 2 and a spread at n=3, 4, against the
+    # table of its own evaluation on every profile, and on every class
     tables = [
         AnonymousTableRule(n, bits) for n in (1, 2) for bits in range(2 ** num_tally_classes(n))
     ]
     tables += [AnonymousTableRule(3, bits) for bits in range(0, 2**10, 37)]
+    tables += [AnonymousTableRule(4, bits) for bits in range(0, 2**15, 1021)]
     for table in tables:
         assert table.lift() == TableRule.from_rule(table, table.n), table
+        assert AnonymousTableRule.from_rule(table, table.n) == table, table
 
 
 def test_rules_equal():

@@ -120,6 +120,7 @@ def test_profile_index_is_not_a_field():
         (lambda: TableRule(1, -1), "bits out of range for n=1"),
         (lambda: AnonymousTableRule(0, 1), "rule needs at least one voter"),
         (lambda: AnonymousTableRule(1, 8), "bits out of range for n=1"),
+        (lambda: AnonymousTableRule(1, -1), "bits out of range for n=1"),
     ],
 )
 def test_validation_messages(build, message):
@@ -188,6 +189,16 @@ def test_a_subclass_that_writes_its_own_constructor_keeps_it():
 
     assert tuple(inspect.signature(Pair).parameters) == ("a", "b")
     assert (Pair(3, 1).low, Pair(3, 1).high) == (1, 3) and Pair(3, 1) == Pair(1, 3)
+
+
+def test_a_subclass_inherits_a_validating_constructor():
+    class Sub(QualifiedMajorityRule):
+        __slots__ = ()
+
+    with pytest.raises(ValueError, match="quota 0 is not qualified for n=1"):
+        Sub(1, 0, X)
+    assert tuple(inspect.signature(Sub).parameters) == Sub._fields == ("n", "q", "reform")
+    assert Sub(1, 1, X) != QualifiedMajorityRule(1, 1, X)
 
 
 def test_generated_defaults_are_the_declared_objects():
