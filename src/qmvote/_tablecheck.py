@@ -51,10 +51,10 @@ from .core import (
     Profile,
     _anonymity_pairs,
     _dual,
+    _dual_index,
     _lift,
     _voter_masks,
     _x_moves,
-    dual,
 )
 from .rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
 
@@ -148,7 +148,7 @@ def _first_neutrality_violation(n: int, out: int, masks: list[int], q: int) -> _
     if not bad:
         return None
     p = _lowest(bad)
-    return p, dual(Profile.from_index(n, p)).index, (out ^ in_rq) >> p & 1
+    return p, _dual_index(n, p), (out ^ in_rq) >> p & 1
 
 
 def _report(axiom: str, n: int, out: int, found: _Violation, q: int | None = None) -> AxiomReport:

@@ -1,11 +1,20 @@
 """Executable axiom checks with replayable counterexample witnesses.
 
-Each check quantifies over every profile of the given voter count and
-reports either a clean pass or the first violation in canonical order:
-profiles by canonical index, then permutations by transposition index,
-then neighbors in the canonical neighbor order. Checkers see rules only
-through the evaluation interface, so a parametric rule and its table
-encoding are checked by exactly the same code path.
+Each axiom is stated once, as its demands: given a profile and the
+rule's winner there, the ``(counterpart, required winner)`` pairs the
+axiom asks for, in canonical order. Anonymity asks the same winner at
+each permutation of the voters, responsiveness at each move of one
+voter toward the winner, and q-neutrality the swapped winner at the
+reversed profile inside R_q and the same winner outside it; classical
+neutrality is that demand at q = 0. Every check is one walk over all
+profiles of the given voter count, ``_first_violation``, and reports
+either a clean pass or the first violation in canonical order: profiles
+by canonical index, then permutations by transposition index, then
+neighbors in the canonical neighbor order. ``replay_witness`` accepts a
+responsiveness or neutrality witness exactly when it is one of those
+demands. Checkers see rules only through the evaluation interface, so a
+parametric rule and its table encoding are checked by exactly the same
+code path.
 
 These profile-level checkers are the independent oracle for small n:
 ``qmvote check`` decides the same reports on bitsets in ``_tablecheck``,
@@ -41,6 +50,41 @@ from .rules import evaluator
 NEUTRALITY = "neutrality"
 
 
+def _first_violation(axiom: str, rule, n: int, demands, q: int | None = None) -> AxiomReport:
+    """The walk every checker shares: at each profile in canonical order,
+    evaluate the rule once, then each ``(counterpart, required)`` that
+    ``demands(profile, value)`` yields, in its order; report the first
+    counterpart whose winner is not the required one."""
+    ev = evaluator(rule)
+    for profile in all_profiles(n):
+        for counterpart, required in demands(profile, ev(profile)):
+            got = ev(counterpart)
+            if got is not required:
+                return AxiomReport(axiom, False, Witness(profile, counterpart, required, got), q=q)
+    return AxiomReport(axiom, True, q=q)
+
+
+def _permuted(perms):
+    """Anonymity's demands: the same winner at each permutation of the voters."""
+    return lambda profile, value: ((permute(profile, perm), value) for perm in perms)
+
+
+def _responsive(profile: Profile, value: Alternative):
+    """Responsiveness's demands: the same winner at each move toward it."""
+    return ((neighbor, value) for neighbor in responsive_neighbors(profile, value))
+
+
+def _reversed(q: int):
+    """q-neutrality's demand: under reversal the winner swaps where some
+    alternative has at least q strict supporters, and stays elsewhere.
+
+    Off that region the axiom demands the swap FAIL; with a two-element
+    codomain that is the same as the winner staying fixed."""
+    return lambda profile, value: (
+        (dual(profile), value.other if meets_quota(profile, q) else value),
+    )
+
+
 def check_anonymity(rule, n: int) -> AxiomReport:
     """Output must be invariant under every permutation of the voters.
 
@@ -49,71 +93,28 @@ def check_anonymity(rule, n: int) -> AxiomReport:
     n! permutations (cross-checked against the brute-force quantifier in
     the tests).
     """
-    ev = evaluator(rule)
-    for profile in all_profiles(n):
-        value = ev(profile)
-        for perm in adjacent_transpositions(n):
-            shuffled = permute(profile, perm)
-            got = ev(shuffled)
-            if got is not value:
-                return AxiomReport(
-                    ANONYMITY, False, Witness(profile, shuffled, value, got)
-                )
-    return AxiomReport(ANONYMITY, True)
+    return _first_violation(ANONYMITY, rule, n, _permuted(adjacent_transpositions(n)))
 
 
 def check_anonymity_all_permutations(rule, n: int) -> AxiomReport:
     """Brute-force anonymity over all n! permutations; the oracle twin of
-    check_anonymity, kept independent so the generator shortcut stays honest."""
-    ev = evaluator(rule)
+    check_anonymity, which quantifies over every permutation itself so the
+    generator shortcut stays honest."""
     perms = list(itertools.permutations(range(n)))
-    for profile in all_profiles(n):
-        value = ev(profile)
-        for perm in perms:
-            shuffled = permute(profile, perm)
-            got = ev(shuffled)
-            if got is not value:
-                return AxiomReport(
-                    ANONYMITY, False, Witness(profile, shuffled, value, got)
-                )
-    return AxiomReport(ANONYMITY, True)
+    return _first_violation(ANONYMITY, rule, n, _permuted(perms))
 
 
 def check_responsiveness(rule, n: int) -> AxiomReport:
     """Moving a single voter toward the current winner must keep it winning."""
-    ev = evaluator(rule)
-    for profile in all_profiles(n):
-        winner = ev(profile)
-        for neighbor in responsive_neighbors(profile, winner):
-            got = ev(neighbor)
-            if got is not winner:
-                return AxiomReport(
-                    RESPONSIVENESS, False, Witness(profile, neighbor, winner, got)
-                )
-    return AxiomReport(RESPONSIVENESS, True)
+    return _first_violation(RESPONSIVENESS, rule, n, _responsive)
 
 
 def check_q_neutrality(rule, n: int, q: int) -> AxiomReport:
     """Reversing all preferences must swap the winner exactly on the profiles
-    where some alternative has at least q strict supporters.
-
-    Off that region the axiom demands the swap FAIL; with a two-element
-    codomain that is the same as the winner staying fixed under reversal,
-    which is the form checked here.
-    """
+    where some alternative has at least q strict supporters."""
     if not 0 <= q <= n:
         raise ValueError(f"quota must lie in 0..{n}, got {q}")
-    ev = evaluator(rule)
-    for profile in all_profiles(n):
-        mirrored = dual(profile)
-        value = ev(profile)
-        required = value.other if meets_quota(profile, q) else value
-        got = ev(mirrored)
-        if got is not required:
-            return AxiomReport(
-                Q_NEUTRALITY, False, Witness(profile, mirrored, required, got), q=q
-            )
-    return AxiomReport(Q_NEUTRALITY, True, q=q)
+    return _first_violation(Q_NEUTRALITY, rule, n, _reversed(q), q=q)
 
 
 def check_neutrality(rule, n: int) -> AxiomReport:
@@ -122,16 +123,7 @@ def check_neutrality(rule, n: int) -> AxiomReport:
     Coincides with q-neutrality at q = 0, where the high-certainty region
     is all of the profile space.
     """
-    ev = evaluator(rule)
-    for profile in all_profiles(n):
-        mirrored = dual(profile)
-        required = ev(profile).other
-        got = ev(mirrored)
-        if got is not required:
-            return AxiomReport(
-                NEUTRALITY, False, Witness(profile, mirrored, required, got)
-            )
-    return AxiomReport(NEUTRALITY, True)
+    return _first_violation(NEUTRALITY, rule, n, _reversed(0))
 
 
 def run_all_checks(rule, n: int, q: int) -> list[AxiomReport]:
@@ -146,9 +138,13 @@ def run_all_checks(rule, n: int, q: int) -> list[AxiomReport]:
 def replay_witness(report: AxiomReport, rule, n: int) -> bool:
     """Re-run the cited evaluations and confirm the witness still violates.
 
-    Every failed report must replay: the counterpart really is related to
-    the profile as the axiom requires, the rule really produces the
-    observed value there, and that value really breaks the requirement.
+    Every failed report must replay: the rule really produces the observed
+    value at the counterpart, that value breaks the requirement, and the
+    pair is an instance of the axiom. For responsiveness and the two
+    neutralities that means ``(counterpart, expected)`` is one of the
+    demands the checker makes at the witness's profile. An anonymity
+    witness may cite any permutation, as the brute-force twin does, so
+    equal tallies certify it.
     """
     if report.passed or report.witness is None:
         return False
@@ -157,22 +153,16 @@ def replay_witness(report: AxiomReport, rule, n: int) -> bool:
     if ev(w.counterpart) is not w.observed or w.observed is w.expected:
         return False
     if report.axiom == ANONYMITY:
-        # equal tallies certify the counterpart is a rearrangement
         return tally(w.profile) == tally(w.counterpart) and ev(w.profile) is w.expected
     if report.axiom == RESPONSIVENESS:
-        return (
-            ev(w.profile) is w.expected
-            and w.counterpart in responsive_neighbors(w.profile, w.expected)
-        )
-    if report.axiom == Q_NEUTRALITY:
-        if report.q is None or w.counterpart != dual(w.profile):
-            return False
-        value = ev(w.profile)
-        required = value.other if meets_quota(w.profile, report.q) else value
-        return required is w.expected
-    if report.axiom == NEUTRALITY:
-        return w.counterpart == dual(w.profile) and ev(w.profile).other is w.expected
-    return False
+        demands = _responsive
+    elif report.axiom == Q_NEUTRALITY and report.q is not None:
+        demands = _reversed(report.q)
+    elif report.axiom == NEUTRALITY:
+        demands = _reversed(0)
+    else:
+        return False
+    return (w.counterpart, w.expected) in demands(w.profile, ev(w.profile))
 
 
 def merge_profile(first: Profile, second: Profile, winner: Alternative) -> Profile:

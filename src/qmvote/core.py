@@ -18,6 +18,8 @@ axiom is a few masked shifts of such a set, and no profile is built.
 Responsiveness is one table of single-voter moves toward X, listed per
 voter by ``_x_moves``; the moves toward Y are the same moves taken
 backwards, so ``check`` and ``verify`` read both off that one list.
+``_dual`` reverses a whole set, n masked swaps of 3^n bits; the dual of
+one profile index is ``_dual_index``, n digit swaps on that index.
 
 Canonical profile numbering: a profile is read as a base-3 integer whose
 digit for voter 0 is least significant, with digit encoding STRICT_X=0,
@@ -394,6 +396,18 @@ def _dual(n: int, out: int, masks: list[int]) -> int:
         s = 3**i
         x, y, ind = masks[i], masks[i] << s, masks[i] << 2 * s
         out = out & ind | (out & x) << s | (out & y) >> s
+    return out
+
+
+def _dual_index(n: int, p: int) -> int:
+    """The index of dual(Profile.from_index(n, p)): p with its base-3
+    digits 0 and 1 swapped, one digit per voter."""
+    out, s = p, 1
+    for _ in range(n):
+        p, digit = divmod(p, 3)
+        if digit < 2:
+            out += s if digit == 0 else -s
+        s *= 3
     return out
 
 

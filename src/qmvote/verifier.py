@@ -44,7 +44,7 @@ import time
 from .core import (
     Alternative,
     FrozenValue,
-    _dual,
+    _dual_index,
     _lift,
     _voter_masks,
     _x_moves,
@@ -108,9 +108,9 @@ class _FullSpace(_Layout):
         return 3**n
 
     def __init__(self, n: int, responsiveness: bool, neutrality: bool):
-        self.n, self.masks, self.neutrality = n, _voter_masks(n), neutrality
+        self.n, self.neutrality = n, neutrality
         self.valid = (1 << 3**n) - 1
-        self.x_moves = [move[:2] for move in _x_moves(n, self.masks)] if responsiveness else []
+        self.x_moves = [move[:2] for move in _x_moves(n, _voter_masks(n))] if responsiveness else []
         self.y_moves = _backwards(self.x_moves)
 
     def threshold_sets(self, q: int) -> tuple[int, int]:
@@ -129,7 +129,7 @@ class _FullSpace(_Layout):
 
     def seed(self, cell: int) -> tuple[int, int]:
         """The cell a decision fixes and its dual, or 0 without q-neutrality."""
-        return 1 << cell, _dual(self.n, 1 << cell, self.masks) if self.neutrality else 0
+        return 1 << cell, 1 << _dual_index(self.n, cell) if self.neutrality else 0
 
 
 def _reached(cells: int, moves) -> int:

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from qmvote.core import (
@@ -207,3 +211,56 @@ def test_table_checks_refuse_what_they_cannot_encode():
 def test_checkers_take_plain_callables():
     assert not check_anonymity(dictatorship, 2).passed
     assert check_responsiveness(lambda p: Y, 3).passed
+
+
+def _tampered(report):
+    """Nine altered copies of a failed report: its witness's two profiles
+    swapped, its expected or observed winner flipped, its quota dropped or
+    raised by one, and its axiom renamed to each other name and to one
+    that no checker uses."""
+    w, q = report.witness, report.q
+    for witness in (
+        Witness(w.counterpart, w.profile, w.expected, w.observed),
+        Witness(w.profile, w.counterpart, w.expected.other, w.observed),
+        Witness(w.profile, w.counterpart, w.expected, w.observed.other),
+    ):
+        yield AxiomReport(report.axiom, False, witness, q)
+    yield AxiomReport(report.axiom, False, w, None)
+    yield AxiomReport(report.axiom, False, w, (q or 0) + 1)
+    for axiom in ("anonymity", "responsiveness", "q-neutrality", "neutrality", "plurality"):
+        if axiom != report.axiom:
+            yield AxiomReport(axiom, False, w, q)
+
+
+def _replay_verdict(report, rule, n):
+    try:
+        return replay_witness(report, rule, n)
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def test_the_oracle_reports_and_replays_as_pinned():
+    """Every report of the five checkers, and the replay verdict of each
+    failed one and of its nine tampered copies, on all 512 tables at n=2
+    and 150 seeded tables at n=3, at every quota, hash to the digest the
+    checkers gave when each axiom had a walk of its own. The benchmark's
+    gate confirms ``check``'s witnesses through ``replay_witness``, so a
+    replay that accepted more than it did would change this digest."""
+    rng = random.Random(32)
+    tables = [(2, bits) for bits in range(512)] + [(3, rng.getrandbits(27)) for _ in range(150)]
+    lines = []
+    for n, bits in tables:
+        rule = TableRule(n, bits)
+        reports = [
+            check_anonymity(rule, n),
+            check_anonymity_all_permutations(rule, n),
+            check_responsiveness(rule, n),
+            check_neutrality(rule, n),
+        ] + [check_q_neutrality(rule, n, q) for q in range(n + 1)]
+        for report in reports:
+            lines.append(json.dumps(report.to_json_dict()))
+            if not report.passed:
+                verdicts = [_replay_verdict(r, rule, n) for r in (report, *_tampered(report))]
+                lines.append(repr(verdicts))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "6d57adb54539f140a0d3bc19f1142d99ba94c6fafc8f82c6da363cd1d128f564"

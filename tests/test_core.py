@@ -17,6 +17,7 @@ from qmvote.core import (
     responsive_neighbors,
     supporters,
     tally,
+    _dual_index,
     _voter_masks,
     _x_moves,
 )
@@ -141,6 +142,12 @@ def test_dual_commutes_with_permute():
     p = P("XYII")
     for perm in itertools.permutations(range(4)):
         assert dual(permute(p, perm)) == permute(dual(p), perm)
+
+
+def test_dual_index_swaps_the_digits_of_a_profile_index():
+    for n in range(1, 8):
+        for p in range(3**n):
+            assert _dual_index(n, p) == dual(Profile.from_index(n, p)).index, (n, p)
 
 
 def test_is_qualified_exact_arithmetic():
