@@ -20,9 +20,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "Alternative",
+        "AxiomReport",
         "Preference",
         "Profile",
         "Tally",
+        "Witness",
         "adjacent_transpositions",
         "all_profiles",
         "dual",
@@ -46,9 +48,7 @@ _EXPORTS = {
         "threshold_table_rule",
     ),
     "axioms": (
-        "AxiomReport",
         "ContradictionWitness",
-        "Witness",
         "check_anonymity",
         "check_anonymity_all_permutations",
         "check_neutrality",

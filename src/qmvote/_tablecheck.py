@@ -7,102 +7,58 @@ The profiles where voter i holds digit 0 form a periodic bitset (runs of
 3^i ones every 3^(i+1) bits), built by doubling the pattern; digits 1
 and 2 are the same set shifted by 3^i and 2*3^i. Every axiom instance
 pairs a profile p with one profile p + k, so the profiles where an axiom
-fails are shifts, ANDs and XORs of ``out`` with those masks, and the
-first violation is the lowest set bit:
+fails are shifts, ANDs and XORs of ``out`` with those masks. Each axiom
+is one scan yielding each such bitset's lowest set bit, keyed in the
+canonical witness order, and the report takes the least key:
 
 * anonymity: where voters j and j+1 hold digits a != b, swapping them
   moves p to p + (a - b)*2*3^j. A differing pair is a violation at both
-  ends, so the first one lies at the end with a > b. First by profile,
-  then by j.
+  ends, so the first one lies at the end with a > b. Keyed (p, j).
 * responsiveness: ``core._x_moves`` lists each move of voter i toward X
   as the profiles ``held`` it starts from and the index change k it
   makes. Where X wins at p and loses at p + k, both profiles violate: p
   by that move, and p + k by the move back toward Y. So the X-ward moves
-  alone give every violation, each at both ends. First by profile, then
-  voter, then move in the canonical neighbor order. A move and its
-  reverse toward Y hold the same place in that order, so the list's one
-  move index serves both ends.
+  alone give every violation, each at both ends, keyed (p, voter, move)
+  with moves in the canonical neighbor order. A move and its reverse
+  toward Y hold the same place in that order, so the list's one move
+  index serves both ends.
 * q-neutrality: ``dual(out)``, built by swapping digits 0 and 1 voter by
   voter, must differ from ``out`` exactly on R_q, the profiles where some
   alternative has q strict supporters; the violations are
-  ``dual(out) ^ out ^ R_q``.
+  ``dual(out) ^ out ^ R_q``, keyed (p,).
 
 A quota rule and an anonymous table answer on tallies through
 ``y_wins``, as R_q does, so their encodings are lifted from the tally
 classes voter by voter, two shifts and two ORs per class and voter. The
 reports, witnesses included, are those of ``axioms.run_all_checks``,
 which stays this module's oracle in the tests. No profile is evaluated
-and no big int is divided. The masks, the move list, the lift and the
-dual are ``core``'s. Without anonymity the full space of ``qmvote
-verify`` closes with these moves; the tally grid, searched under
-anonymity, uses its own shifts in the same ``(held, k)`` form.
-
-The report types, ``AxiomReport`` and ``Witness``, and the axiom names
-are defined here, where every ``check`` builds them; ``axioms`` imports
-them from this module, so a ``check`` call loads no profile-level
-checker.
+and no big int is divided. The anonymity pairs and the whole-set dual
+are this module's alone; the rest of the algebra and the report values
+are ``core``'s, so ``check`` loads no profile-level checker and the
+oracle loads nothing of ``check``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .core import (
+    ANONYMITY,
+    Q_NEUTRALITY,
+    RESPONSIVENESS,
     Alternative,
-    FrozenValue,
+    AxiomReport,
     Profile,
-    _anonymity_pairs,
-    _dual,
+    Witness,
     _dual_index,
     _lift,
+    _lowest,
     _voter_masks,
     _x_moves,
 )
 from .rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
 
-ANONYMITY = "anonymity"
-RESPONSIVENESS = "responsiveness"
-Q_NEUTRALITY = "q-neutrality"
-
-
-class Witness(FrozenValue):
-    """A concrete violation: a profile, the paired profile that exposes the
-    failure (permuted / neighbor / preference-reversed), and the outcome the
-    axiom demanded versus the one observed."""
-
-    __slots__ = _fields = ("profile", "counterpart", "expected", "observed")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "profile": self.profile.to_string(),
-            "counterpart": self.counterpart.to_string(),
-            "expected": self.expected.value,
-            "observed": self.observed.value,
-        }
-
-
-class AxiomReport(FrozenValue):
-    __slots__ = _fields = ("axiom", "passed", "witness", "q")
-    _defaults = {"witness": None, "q": None}
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {"axiom": self.axiom}
-        if self.q is not None:
-            doc["q"] = self.q
-        doc["passed"] = self.passed
-        if self.witness is not None:
-            doc["witness"] = self.witness.to_json_dict()
-        return doc
-
-
 _WINNER = (Alternative.X, Alternative.Y)
-
-# Each search returns its first violation as (profile, counterpart, winner
-# the axiom requires at the counterpart), or None when the rule passes.
-_Violation = tuple[int, int, int] | None
-
-
-def _lowest(bits: int) -> int:
-    """The index of the lowest set bit of a nonzero ``bits``."""
-    return (bits ^ (bits - 1)).bit_length() - 1
 
 
 def _encoding(rule, n: int) -> int:
@@ -116,45 +72,64 @@ def _encoding(rule, n: int) -> int:
     raise TypeError(f"no output column for {type(rule).__name__}")
 
 
-def _first_anonymity_violation(n: int, out: int, masks: list[int]) -> _Violation:
-    first = None
-    for held, k in _anonymity_pairs(n, masks):
+def _anonymity_pairs(n: int, masks: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(held, k, j) per adjacent voter pair j, j+1, in order of j: ``held``
+    the profiles where voters j and j+1 hold digits a > b, and k =
+    (a - b)*2*3^j, the index change of swapping the two. Anonymity asks
+    the same winner at p and p + k for every p in ``held``; a pair of
+    equal digits swaps to itself, so these are all its instances."""
+    for j in range(n - 1):
+        s = 3**j
+        one, two = masks[j] << s, masks[j] << 2 * s  # voter j holds 1, 2
+        next_zero, next_one = masks[j + 1], masks[j + 1] << 3 * s  # voter j + 1 holds 0, 1
+        yield one & next_zero | two & next_one, 2 * s, j
+        yield two & next_zero, 4 * s, j
+
+
+def _dual(n: int, out: int, masks: list[int]) -> int:
+    """The set whose bit p is bit dual(p) of ``out``."""
+    for i in range(n):
+        s = 3**i
+        x, y, ind = masks[i], masks[i] << s, masks[i] << 2 * s
+        out = out & ind | (out & x) << s | (out & y) >> s
+    return out
+
+
+def _anonymity(n: int, out: int, masks: list[int]) -> Iterator[tuple]:
+    for held, k, j in _anonymity_pairs(n, masks):
         bad = held & (out ^ out >> k)
         if bad:
             p = _lowest(bad)
-            # a later transposition comes first only at an earlier profile
-            if first is None or p < first[0]:
-                first = (p, p + k, out >> p & 1)
-    return first
+            yield (p, j), p, p + k, out >> p & 1
 
 
-def _first_responsiveness_violation(n: int, out: int, masks: list[int]) -> _Violation:
+def _responsiveness(n: int, out: int, masks: list[int]) -> Iterator[tuple]:
     x_wins = ((1 << 3**n) - 1) ^ out
-    first = None  # (profile, voter, move index, counterpart, winner)
     for held, k, i, move in _x_moves(n, masks):
         # X wins at p, Y at p + k, which is one move toward X from p
         bad = held & x_wins & (out >> k if k > 0 else out << -k)
         if bad:
             p = _lowest(bad)
-            found = min((p, i, move, p + k, 0), (p + k, i, move, p, 1))
-            first = found if first is None else min(first, found)
-    return None if first is None else (first[0], first[3], first[4])
+            yield (p, i, move), p, p + k, 0
+            yield (p + k, i, move), p + k, p, 1
 
 
-def _first_neutrality_violation(n: int, out: int, masks: list[int], q: int) -> _Violation:
+def _q_neutrality(n: int, out: int, masks: list[int], q: int) -> Iterator[tuple]:
     """The winner must swap under reversal exactly inside R_q."""
     in_rq = _lift(n, lambda nx, ny: max(nx, ny) >= q)
     bad = _dual(n, out, masks) ^ out ^ in_rq
-    if not bad:
-        return None
-    p = _lowest(bad)
-    return p, _dual_index(n, p), (out ^ in_rq) >> p & 1
+    if bad:
+        p = _lowest(bad)
+        yield (p,), p, _dual_index(n, p), (out ^ in_rq) >> p & 1
 
 
-def _report(axiom: str, n: int, out: int, found: _Violation, q: int | None = None) -> AxiomReport:
+def _report(axiom: str, n: int, out: int, candidates, q: int | None = None) -> AxiomReport:
+    """The report on the least of ``candidates``, the violations a scan
+    yields as (key, profile, counterpart, winner required there)."""
+    found = min(candidates, default=None)
     if found is None:
         return AxiomReport(axiom, True, q=q)
-    p, t, expected = found
+    _, p, t, expected = found
     witness = Witness(
         Profile.from_index(n, p),
         Profile.from_index(n, t),
@@ -177,7 +152,7 @@ def run_table_checks(rule, n: int, q: int) -> list[AxiomReport]:
     out = _encoding(rule, n)
     masks = _voter_masks(n)
     return [
-        _report(ANONYMITY, n, out, _first_anonymity_violation(n, out, masks)),
-        _report(RESPONSIVENESS, n, out, _first_responsiveness_violation(n, out, masks)),
-        _report(Q_NEUTRALITY, n, out, _first_neutrality_violation(n, out, masks, q), q=q),
+        _report(ANONYMITY, n, out, _anonymity(n, out, masks)),
+        _report(RESPONSIVENESS, n, out, _responsiveness(n, out, masks)),
+        _report(Q_NEUTRALITY, n, out, _q_neutrality(n, out, masks, q), q=q),
     ]

@@ -18,24 +18,28 @@ code path.
 
 These profile-level checkers are the independent oracle for small n:
 ``qmvote check`` decides the same reports on bitsets in ``_tablecheck``,
-where the report types and axiom names are defined, and ``verify``
-searches cell tables in ``verifier``; the tests compare both with this
-module. The balanced-profile argument of the paper's extension of May
-(1952), that no rule is both anonymous and q-neutral when 2q <= n, sits
-here too (``unqualified_quota_contradiction``), next to the axioms it is
-about.
+and ``verify`` searches cell tables in ``verifier``; the tests compare
+both with this module. It takes the report values and axiom names from
+``core``, so it loads neither engine whose results it replays. The
+balanced-profile argument of the paper's extension of May (1952), that
+no rule is both anonymous and q-neutral when 2q <= n, sits here too
+(``unqualified_quota_contradiction``), next to the axioms it is about.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from ._tablecheck import ANONYMITY, Q_NEUTRALITY, RESPONSIVENESS, AxiomReport, Witness
 from .core import (
+    ANONYMITY,
+    Q_NEUTRALITY,
+    RESPONSIVENESS,
     Alternative,
+    AxiomReport,
     FrozenValue,
     Preference,
     Profile,
+    Witness,
     adjacent_transpositions,
     all_profiles,
     dual,

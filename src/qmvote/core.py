@@ -1,4 +1,4 @@
-"""Two-alternative preference profiles and the primitive operations on them.
+"""Two-alternative preference profiles, their primitive operations and reports.
 
 A profile holds one weak ordering per voter over the pair of alternatives,
 so every voter is in exactly one of three states: strictly for X, strictly
@@ -8,18 +8,19 @@ are memoized in bounded caches: ``tally`` and ``dual`` per profile,
 ``all_profiles`` and ``adjacent_transpositions`` per voter count.
 ``permute`` and ``responsive_neighbors`` are recomputed on every call.
 These operations serve the profile-level checkers in ``axioms`` (the
-oracle), the rule encoders and the proof helpers.
+oracle), the rule encoders and the proof helpers. ``check`` builds the
+reports, ``Witness`` and ``AxiomReport``, and ``axioms`` replays them.
 
-The last part of the module is the axiom algebra that ``qmvote check``
-and ``qmvote verify`` share: a set of profiles is one int of 3^n bits,
-bit p standing for the profile of canonical index p, and every axiom
-instance pairs p with p + k for a k read off p's base-3 digits. So each
-axiom is a few masked shifts of such a set, and no profile is built.
-Responsiveness is one table of single-voter moves toward X, listed per
-voter by ``_x_moves``; the moves toward Y are the same moves taken
-backwards, so ``check`` and ``verify`` read both off that one list.
-``_dual`` reverses a whole set, n masked swaps of 3^n bits; the dual of
-one profile index is ``_dual_index``, n digit swaps on that index.
+The last part of the module is the axiom algebra that both engines,
+``check`` and ``verify``, share: a set of profiles is one int of 3^n
+bits, bit p standing for the profile of canonical index p, and every
+axiom instance pairs p with p + k for a k read off p's base-3 digits.
+So each axiom is a few masked shifts of such a set, and no profile is
+built. Responsiveness is one table of single-voter moves toward X,
+listed per voter by ``_x_moves``; the moves toward Y are the same moves
+taken backwards, so both engines read both off that one list. The dual
+of one profile index is ``_dual_index``, n digit swaps on that index,
+and a set's first profile is ``_lowest``.
 
 Canonical profile numbering: a profile is read as a base-3 integer whose
 digit for voter 0 is least significant, with digit encoding STRICT_X=0,
@@ -224,6 +225,41 @@ class Tally(FrozenValue):
         return self.n_x if alternative is Alternative.X else self.n_y
 
 
+ANONYMITY = "anonymity"
+RESPONSIVENESS = "responsiveness"
+Q_NEUTRALITY = "q-neutrality"
+
+
+class Witness(FrozenValue):
+    """A concrete violation: a profile, the paired profile that exposes the
+    failure (permuted / neighbor / preference-reversed), and the outcome the
+    axiom demanded versus the one observed."""
+
+    __slots__ = _fields = ("profile", "counterpart", "expected", "observed")
+
+    def to_json_dict(self) -> dict:
+        return {
+            "profile": self.profile.to_string(),
+            "counterpart": self.counterpart.to_string(),
+            "expected": self.expected.value,
+            "observed": self.observed.value,
+        }
+
+
+class AxiomReport(FrozenValue):
+    __slots__ = _fields = ("axiom", "passed", "witness", "q")
+    _defaults = {"witness": None, "q": None}
+
+    def to_json_dict(self) -> dict:
+        doc: dict = {"axiom": self.axiom}
+        if self.q is not None:
+            doc["q"] = self.q
+        doc["passed"] = self.passed
+        if self.witness is not None:
+            doc["witness"] = self.witness.to_json_dict()
+        return doc
+
+
 # Per-profile caches hold every profile of n <= 9 (29,523): the test suite
 # asks for 20,966 distinct ones, and its largest walk, the rule of four's
 # q-neutrality at n=9, revisits all 19,683 profiles once per quota, so a
@@ -355,21 +391,6 @@ def _x_moves(n: int, masks: list[int]) -> Iterator[tuple[int, int, int, int]]:
             yield masks[i] << digit * s, change * s, i, move
 
 
-def _anonymity_pairs(n: int, masks: list[int]) -> Iterator[tuple[int, int]]:
-    """(held, k) per adjacent voter pair j, j+1, in order of j: ``held``
-    the profiles where voters j and j+1 hold digits a > b, and k =
-    (a - b)*2*3^j, the index change of swapping the two. Anonymity asks
-    the same winner at p and p + k for every p in ``held``; a pair of
-    equal digits swaps to itself, so these are all its instances. A
-    generator, as ``_x_moves`` is."""
-    for j in range(n - 1):
-        s = 3**j
-        one, two = masks[j] << s, masks[j] << 2 * s  # voter j holds 1, 2
-        next_zero, next_one = masks[j + 1], masks[j + 1] << 3 * s  # voter j + 1 holds 0, 1
-        yield one & next_zero | two & next_one, 2 * s
-        yield two & next_zero, 4 * s
-
-
 def _lift(n: int, y_wins) -> int:
     """The set of profiles with n_x strict X and n_y strict Y supporters
     such that ``y_wins(n_x, n_y)``: the encoding of that anonymous rule.
@@ -390,15 +411,6 @@ def _lift(n: int, y_wins) -> int:
     return level[0, 0]
 
 
-def _dual(n: int, out: int, masks: list[int]) -> int:
-    """The set whose bit p is bit dual(p) of ``out``."""
-    for i in range(n):
-        s = 3**i
-        x, y, ind = masks[i], masks[i] << s, masks[i] << 2 * s
-        out = out & ind | (out & x) << s | (out & y) >> s
-    return out
-
-
 def _dual_index(n: int, p: int) -> int:
     """The index of dual(Profile.from_index(n, p)): p with its base-3
     digits 0 and 1 swapped, one digit per voter."""
@@ -409,6 +421,11 @@ def _dual_index(n: int, p: int) -> int:
             out += s if digit == 0 else -s
         s *= 3
     return out
+
+
+def _lowest(bits: int) -> int:
+    """The index of the lowest set bit of a nonzero ``bits``."""
+    return (bits ^ (bits - 1)).bit_length() - 1
 
 
 # one entry holds 3^n profiles; the test suite walks seven voter counts

@@ -46,6 +46,7 @@ from .core import (
     FrozenValue,
     _dual_index,
     _lift,
+    _lowest,
     _voter_masks,
     _x_moves,
 )
@@ -176,9 +177,10 @@ class _AnonymousSpace(_Layout):
         Y in the cells b >= q, off the first column shifted by 0..q-1 cells."""
         return self.valid & (1 << q * self.w) - 1, self.valid & ~(self.column * ((1 << q) - 1))
 
-    @staticmethod
-    def pick(free: int) -> int:
-        return (free & -free).bit_length() - 1  # the lowest free cell
+    # the lowest free cell, class (0, 0), all indifferent as _FullSpace's is:
+    # the highest took every quota of n=64 0.006 -> 0.100 s, n=160 0.058 ->
+    # 2.30 s and n=165 0.063 -> 2.54 s in-process, same survivors (2 vCPUs)
+    pick = staticmethod(_lowest)
 
     def encoding(self, o: int) -> int:
         w = self.w
@@ -361,16 +363,18 @@ def _build_result(layout, q: int, survivors, elapsed_ms: float) -> VerificationR
 
 
 def enumerate_full(n: int, q: int) -> VerificationResult:
-    """Decide all 2^(3^n) profile tables and intersect the three axiom sets."""
+    """Search the 2^(3^n) profile tables for the rules passing all three
+    axioms at quota q; the search visits no failing rule, and
+    ``rules_examined`` reports the 2^(3^n) rules the space holds."""
     return _enumerate(_LiftedSpace, n, [q])[0]
 
 
 def enumerate_anonymous(n: int, q: int) -> VerificationResult:
-    """Decide all anonymous tally tables and intersect the axiom sets.
+    """Search the anonymous tally tables as ``enumerate_full`` does.
 
     Restricting to this space loses nothing: anonymity is one of the
-    intersected axioms, and every anonymous rule has exactly one tally
-    table representative.
+    axioms, and every anonymous rule has exactly one tally table
+    representative.
     """
     return _enumerate(_AnonymousSpace, n, [q])[0]
 

@@ -11,9 +11,9 @@ import qmvote
 # Every public name of the package, by the submodule that defines it.
 EXPORTS = {
     "core": [
-        "Alternative", "Preference", "Profile", "Tally", "adjacent_transpositions",
-        "all_profiles", "dual", "is_qualified", "meets_quota", "permute",
-        "qualified_quotas", "responsive_neighbors", "supporters", "tally",
+        "Alternative", "AxiomReport", "Preference", "Profile", "Tally", "Witness",
+        "adjacent_transpositions", "all_profiles", "dual", "is_qualified", "meets_quota",
+        "permute", "qualified_quotas", "responsive_neighbors", "supporters", "tally",
     ],
     "rules": [
         "AnonymousTableRule", "QualifiedMajorityRule", "TableRule", "num_tally_classes",
@@ -21,10 +21,9 @@ EXPORTS = {
         "threshold_table_rule",
     ],
     "axioms": [
-        "AxiomReport", "ContradictionWitness", "Witness", "check_anonymity",
-        "check_anonymity_all_permutations", "check_neutrality", "check_q_neutrality",
-        "check_responsiveness", "merge_profile", "replay_witness", "run_all_checks",
-        "unqualified_quota_contradiction",
+        "ContradictionWitness", "check_anonymity", "check_anonymity_all_permutations",
+        "check_neutrality", "check_q_neutrality", "check_responsiveness", "merge_profile",
+        "replay_witness", "run_all_checks", "unqualified_quota_contradiction",
     ],
     "verifier": [
         "GuardError", "SPACE_ANONYMOUS", "SPACE_FULL", "SurvivorInfo", "VerificationResult",
@@ -74,6 +73,21 @@ def test_bare_import_loads_no_submodule_and_needs_no_click():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "qmvote.core", "True", "True"]
+
+
+def test_the_oracle_and_the_report_values_load_no_engine():
+    # the oracle replays check's witnesses, so it loads neither check's
+    # engine nor verify's; the report values are core's alone
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('qmvote.')))\n"
+    imports = {
+        "import qmvote.axioms": "['qmvote.axioms', 'qmvote.core', 'qmvote.rules']",
+        "from qmvote import AxiomReport, Witness": "['qmvote.core']",
+    }
+    for statement, want in imports.items():
+        code = f"import sys\n{statement}\n{loaded}"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [want], statement
 
 
 def test_library_runs_without_numpy():
