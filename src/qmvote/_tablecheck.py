@@ -55,6 +55,7 @@ from .core import (
     _lowest,
     _voter_masks,
     _x_moves,
+    require_quota,
 )
 from .rules import AnonymousTableRule, QualifiedMajorityRule, TableRule
 
@@ -147,8 +148,7 @@ def run_table_checks(rule, n: int, q: int) -> list[AxiomReport]:
     ``QualifiedMajorityRule``; an anonymous table is lifted to the
     profiles, so its witnesses name profiles too.
     """
-    if not 0 <= q <= n:
-        raise ValueError(f"quota must lie in 0..{n}, got {q}")
+    require_quota(q, n)
     out = _encoding(rule, n)
     masks = _voter_masks(n)
     return [

@@ -43,8 +43,10 @@ from .core import (
     adjacent_transpositions,
     all_profiles,
     dual,
+    is_qualified,
     meets_quota,
     permute,
+    require_quota,
     responsive_neighbors,
     strict_preference_for,
     tally,
@@ -116,8 +118,7 @@ def check_responsiveness(rule, n: int) -> AxiomReport:
 def check_q_neutrality(rule, n: int, q: int) -> AxiomReport:
     """Reversing all preferences must swap the winner exactly on the profiles
     where some alternative has at least q strict supporters."""
-    if not 0 <= q <= n:
-        raise ValueError(f"quota must lie in 0..{n}, got {q}")
+    require_quota(q, n)
     return _first_violation(Q_NEUTRALITY, rule, n, _reversed(q), q=q)
 
 
@@ -217,10 +218,9 @@ def unqualified_quota_contradiction(rule, n: int, q: int) -> ContradictionWitnes
     the two conflicting requirements the given rule breaks on it."""
     if n < 2:
         raise ValueError("the construction needs at least two voters")
-    if not (0 <= q and 2 * q <= n):
-        raise ValueError(
-            f"not applicable: quota {q} is qualified for n={n} (needs 2q <= n)"
-        )
+    require_quota(q, n)
+    if is_qualified(q, n):
+        raise ValueError(f"not applicable: quota {q} is qualified for n={n} (needs 2q <= n)")
     profile = Profile.from_counts(q, q, n - 2 * q)
     mirrored = dual(profile)
     perm = tuple(range(q, 2 * q)) + tuple(range(q)) + tuple(range(2 * q, n))

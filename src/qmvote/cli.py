@@ -14,7 +14,8 @@ only ``core``, ``rules`` and ``_tablecheck``, which defines the report
 types itself, with no ``axioms`` and no ``verifier``.
 
 Every input file is read by ``_read_text``, and ``decide`` and ``tally``
-share one ballot path, ``_read_ballot_file``.
+share one ballot path, ``_read_ballot_file``. Every precondition or guard
+a library call refuses with a ValueError exits 3 through ``_guarded``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ _CHECK_MAX_N = 15
 # Ballot choices, indexed by the value of their ``core.Preference``.
 _CHOICES = ("X", "Y", "TIE")
 
-# verifier.SPACE_FULL and SPACE_ANONYMOUS, restated so that parsing
-# --space does not import the verifier; a test pins them to the originals.
+# the space names of rules.TableRule and AnonymousTableRule, restated so that
+# parsing --space imports no library module; a test pins them to the originals
 SPACE_FULL = "full"
 SPACE_ANONYMOUS = "anonymous"
 
@@ -116,6 +117,15 @@ def _die(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _guarded(call, *args):
+    """``call(*args)``; a ValueError from it, a precondition or a guard the
+    call refuses, ends the process with exit code 3."""
+    try:
+        return call(*args)
+    except ValueError as exc:  # GuardError included
+        _die(EXIT_GUARD, str(exc))
+
+
 def _read_text(path: str, newline: str | None = None) -> str:
     """The text of UTF-8 file ``path``, less any byte-order mark."""
     try:
@@ -152,10 +162,7 @@ def _load_rule(spec: str, n: int, anonymous: bool):
             quota, reform = int(quota), Alternative(reform.upper())
         except ValueError:
             _die(EXIT_BAD_INPUT, f"unknown builtin rule {spec!r}; expected builtin:qm:Q:{{X,Y}}")
-        try:
-            return QualifiedMajorityRule(n, quota, reform)
-        except ValueError as exc:
-            _die(EXIT_GUARD, str(exc))
+        return _guarded(QualifiedMajorityRule, n, quota, reform)
     line = _read_text(spec)
     try:
         return (AnonymousTableRule if anonymous else TableRule).from_line(n, line)
@@ -170,10 +177,7 @@ def decide(args) -> int:
 
     profile, report = _read_ballot_file(args.ballots)
     alt = Alternative(args.reform)
-    try:
-        rule = QualifiedMajorityRule(profile.n, args.q, alt)
-    except ValueError as exc:
-        _die(EXIT_GUARD, str(exc))
+    rule = _guarded(QualifiedMajorityRule, profile.n, args.q, alt)
     _emit({**report, "q": args.q, "reform": alt.value, "winner": rule.evaluate(profile).value})
     return EXIT_OK
 
@@ -186,7 +190,7 @@ def tally_cmd(args) -> int:
 
 def check(args) -> int:
     """Check a rule for anonymity, responsiveness and q-neutrality."""
-    n, quota = args.n, args.q
+    n = args.n
     if n < 1:
         _die(EXIT_GUARD, "need at least one voter")
     if n > _CHECK_MAX_N:
@@ -196,22 +200,11 @@ def check(args) -> int:
             f"check at n={n} would walk all 3^{n}{count} profiles; the limit is n={_CHECK_MAX_N}",
         )
     rule = _load_rule(args.rule, n, args.anonymous)
-    if not 0 <= quota <= n:
-        _die(EXIT_GUARD, f"quota must lie in 0..{n}, got {quota}")
     from ._tablecheck import run_table_checks
 
-    reports = run_table_checks(rule, n, quota)
+    reports = _guarded(run_table_checks, rule, n, args.q)
     _emit([r.to_json_dict() for r in reports])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
-
-
-def _run_enumerations(n, quotas, space):
-    from .verifier import _SPACES, _enumerate
-
-    try:
-        return _enumerate(_SPACES[space], n, quotas)
-    except ValueError as exc:  # GuardError included
-        _die(EXIT_GUARD, str(exc))
 
 
 def verify(args) -> int:
@@ -220,21 +213,23 @@ def verify(args) -> int:
         _die(EXIT_BAD_INPUT, "provide --q or --all-q")
     if (args.q is not None) and args.all_q:
         _die(EXIT_BAD_INPUT, "--q and --all-q are mutually exclusive")
+    from .verifier import _SPACES, _enumerate
+
     quotas = range(args.n + 1) if args.all_q else [args.q]
-    results = _run_enumerations(args.n, quotas, args.space)
+    results = _guarded(_enumerate, _SPACES[args.space], args.n, quotas)
     _emit([r.to_json_dict(include_timing=not args.no_timing) for r in results])
     return EXIT_OK if all(r.matches_theorem for r in results) else EXIT_FAILED
 
 
 def enumerate_cmd(args) -> int:
     """Like verify for one quota, but include each survivor's full table."""
-    from .rules import AnonymousTableRule, TableRule
+    from .verifier import _SPACES, _enumerate
 
-    result = _run_enumerations(args.n, [args.q], args.space)[0]
+    space = _SPACES[args.space]
+    result = _guarded(_enumerate, space, args.n, [args.q])[0]
     doc = result.to_json_dict(include_timing=not args.no_timing)
-    table = TableRule if args.space == SPACE_FULL else AnonymousTableRule
     for entry in doc["survivors"]:
-        entry["table"] = table(args.n, entry["encoding"]).to_line()
+        entry["table"] = space.table(args.n, entry["encoding"]).to_line()
     _emit(doc)
     return EXIT_OK if result.matches_theorem else EXIT_FAILED
 

@@ -3,13 +3,14 @@
 A profile holds one weak ordering per voter over the pair of alternatives,
 so every voter is in exactly one of three states: strictly for X, strictly
 for Y, or indifferent. Everything in this module is a pure function on
-immutable values; profiles compare structurally and hash. Four results
-are memoized in bounded caches: ``tally`` and ``dual`` per profile,
-``all_profiles`` and ``adjacent_transpositions`` per voter count.
-``permute`` and ``responsive_neighbors`` are recomputed on every call.
+immutable values; profiles compare structurally and hash. Three results
+are memoized in bounded caches: ``tally`` and ``dual`` per profile, and
+``all_profiles`` per voter count; the rest are recomputed on every call.
 These operations serve the profile-level checkers in ``axioms`` (the
 oracle), the rule encoders and the proof helpers. ``check`` builds the
 reports, ``Witness`` and ``AxiomReport``, and ``axioms`` replays them.
+Every function that takes a quota refuses one outside 0..n through
+``require_quota``.
 
 The last part of the module is the axiom algebra that both engines,
 ``check`` and ``verify``, share: a set of profiles is one int of 3^n
@@ -321,10 +322,15 @@ def qualified_quotas(n: int) -> range:
     return range(n // 2 + 1, n + 1)
 
 
+def require_quota(q: int, n: int) -> None:
+    """Refuse a quota q outside 0..n, the quotas of n voters."""
+    if not 0 <= q <= n:
+        raise ValueError(f"quota must lie in 0..{n}, got {q}")
+
+
 def meets_quota(profile: Profile, q: int) -> bool:
     """True iff some alternative has at least q strict supporters."""
-    if not 0 <= q <= profile.n:
-        raise ValueError(f"quota must lie in 0..{profile.n}, got {q}")
+    require_quota(q, profile.n)
     t = tally(profile)
     return max(t.n_x, t.n_y) >= q
 
@@ -437,7 +443,6 @@ def all_profiles(n: int) -> tuple[Profile, ...]:
     return tuple(Profile.from_index(n, i) for i in range(3**n))
 
 
-@lru_cache(maxsize=16)
 def adjacent_transpositions(n: int) -> tuple[tuple[int, ...], ...]:
     """The n-1 permutations swapping voters j and j+1.
 

@@ -4,19 +4,20 @@ Two families live here: the parametric qualified majority rules (a reform
 alternative that wins exactly when its strict supporters reach a quota
 above half the voters), and explicit table rules, which pack their
 outputs into an integer, one bit per cell (0 = X wins, 1 = Y wins): the
-rule's encoding. The two table types, over profiles and over tally
-classes, share one base with the bounds check, the X/Y line and the
-encoder, and differ only in their cells. A quota rule and an anonymous
-table answer on tallies through ``y_wins`` and share one ``evaluate``,
-and tally-class order is stated here alone, by ``tally_class_index``
-and ``_pack_rows``.
+rule's encoding. A rule space is its table type, over profiles or over
+tally classes: the type states the space's name (``_space``), its cell
+count (``_width``) and its cells (``_cells``), and the search in
+``verifier`` reads the first two off it. The two types share one base
+with the bounds check, the X/Y line and the encoder. A quota rule and
+an anonymous table answer on tallies through ``y_wins`` and share one
+``evaluate``, and tally-class order is stated here alone, by
+``tally_class_index`` and ``_pack_rows``.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterator
-from functools import lru_cache
 
 from .core import (
     Alternative,
@@ -25,6 +26,7 @@ from .core import (
     _lift,
     all_profiles,
     is_qualified,
+    require_quota,
     tally,
 )
 
@@ -45,9 +47,6 @@ def num_tally_classes(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-# one entry per voter count: the rule encoders and the tests ask for a
-# few small n, and the verifier and ``check`` walk no class list
-@lru_cache(maxsize=8)
 def tally_classes(n: int) -> tuple[tuple[int, int], ...]:
     """All tally classes in lexicographic (n_x, n_y) order.
 
@@ -220,8 +219,7 @@ class AnonymousTableRule(_Table):
 
 def qualified_majority_rules(n: int, q: int) -> frozenset[QualifiedMajorityRule]:
     """The qualified majority rules with quota q: two if 2q > n, none otherwise."""
-    if not 0 <= q <= n:
-        raise ValueError(f"quota must lie in 0..{n}, got {q}")
+    require_quota(q, n)
     if not is_qualified(q, n):
         return frozenset()
     return frozenset(

@@ -20,8 +20,11 @@ The layout class is the anonymity axiom: ``_AnonymousSpace`` lays the
 tally classes out on a grid; ``_LiftedSpace``, the full space under
 anonymity, searches that grid and lifts each survivor to the profiles of
 its classes; ``_FullSpace``, the full space without anonymity, numbers
-cells by canonical profile index, as ``check`` does. One layout serves
-every quota at n: it holds its cells, its moves toward X and toward Y as
+cells by canonical profile index, as ``check`` does. Each layout
+searches the encodings of one table type, ``table``: ``TableRule`` for
+the full space, ``AnonymousTableRule`` for the anonymous one, and that
+type names the space and counts its cells. One layout serves every
+quota at n: it holds its cells, its moves toward X and toward Y as
 masked shifts, which ``_reached`` follows in one pass, the seed of a
 decision (its cell and the cell's mirror), the branching order and the
 encoding of a cell set (on the grid by ``rules._pack_rows``, lifted by
@@ -49,12 +52,13 @@ from .core import (
     _lowest,
     _voter_masks,
     _x_moves,
+    require_quota,
 )
-from .rules import _pack_rows, num_tally_classes, qualified_majority_rules
+from .rules import AnonymousTableRule, TableRule, _pack_rows, qualified_majority_rules
 
 _X, _Y = Alternative.X, Alternative.Y
-SPACE_FULL = "full"
-SPACE_ANONYMOUS = "anonymous"
+SPACE_FULL = TableRule._space
+SPACE_ANONYMOUS = AnonymousTableRule._space
 
 # Search guard, in cells (3^n full, (n+1)(n+2)/2 anonymous). It keeps
 # 2^cells within Python's default 4300-digit int-to-str limit, which the
@@ -76,11 +80,11 @@ def _layout(space, n: int, responsiveness: bool, neutrality: bool):
     """The space's layout at n voters, once the cell guard admits n."""
     if n < 2:
         raise GuardError("rule-space verification needs at least two voters")
-    where = f"{space.name} space at n={n}"
+    where = f"{space.table._space} space at n={n}"
     # past n=200 either space is far over the cap (anonymous: 20,301 cells),
     # so the count, 3^n for the full space, is neither computed nor printed
     if n <= 200:
-        cells = space.cells(n)
+        cells = space.table._width(n)
         if cells <= _MAX_CELLS:
             return space(n, responsiveness, neutrality)
         where += f" has {cells:,} cells,"
@@ -101,16 +105,12 @@ class _FullSpace(_Layout):
     """The full space without anonymity: cells are profile indices, as in
     ``check``, and the clauses are masked shifts of 3^n-bit sets."""
 
-    name = SPACE_FULL
+    table = TableRule
     past_cap = "; use the anonymous space"
-
-    @staticmethod
-    def cells(n: int) -> int:
-        return 3**n
 
     def __init__(self, n: int, responsiveness: bool, neutrality: bool):
         self.n, self.neutrality = n, neutrality
-        self.valid = (1 << 3**n) - 1
+        self.valid = (1 << self.table._width(n)) - 1
         self.x_moves = [move[:2] for move in _x_moves(n, _voter_masks(n))] if responsiveness else []
         self.y_moves = _backwards(self.x_moves)
 
@@ -157,9 +157,8 @@ class _AnonymousSpace(_Layout):
     up", each by doubling shifts; the moves toward Y are those backwards,
     "a down, then b up"."""
 
-    name = SPACE_ANONYMOUS
+    table = AnonymousTableRule
     past_cap = ""
-    cells = staticmethod(num_tally_classes)
 
     def __init__(self, n: int, responsiveness: bool, neutrality: bool):
         self.n, self.w, self.neutrality = n, 2 * n + 2, neutrality
@@ -195,7 +194,7 @@ class _LiftedSpace(_AnonymousSpace):
     """The full space under anonymity: a winner depends on the tally alone,
     so these rules are the grid's, each lifted to its classes' profiles."""
 
-    name, past_cap, cells = _FullSpace.name, _FullSpace.past_cap, staticmethod(_FullSpace.cells)
+    table, past_cap = TableRule, _FullSpace.past_cap
 
     def encoding(self, o: int) -> int:
         return _lift(self.n, lambda a, b: o >> a * self.w + b & 1)
@@ -269,8 +268,7 @@ def _survivors(layout, q: int) -> list[tuple[int, int]]:
     """(encoding, cell set) of each rule passing the layout's axioms at
     quota q, ascending by encoding, guarded by the survivor cap."""
     n = layout.n
-    if not 0 <= q <= n:
-        raise ValueError(f"quota must lie in 0..{n}, got {q}")
+    require_quota(q, n)
     layout.at(q)
     # a layout with no moves and no mirrors has no clause, so every rule on
     # its cells passes and a count past the cap is known without listing them
@@ -280,7 +278,7 @@ def _survivors(layout, q: int) -> list[tuple[int, int]]:
             return sorted((layout.encoding(o), o) for o in survivors)
     # only a call that drops axioms gets here
     raise GuardError(
-        f"more than {_MAX_SURVIVORS:,} rules of the {layout.name} space at n={n} "
+        f"more than {_MAX_SURVIVORS:,} rules of the {layout.table._space} space at n={n} "
         "pass the selected axioms; select more axioms"
     )
 
@@ -354,8 +352,8 @@ def _build_result(layout, q: int, survivors, elapsed_ms: float) -> VerificationR
     return VerificationResult(
         n=n,
         q=q,
-        space=layout.name,
-        rules_examined=1 << layout.cells(n),
+        space=layout.table._space,
+        rules_examined=1 << layout.table._width(n),
         survivors=infos,
         matches_theorem=sorted(cells for _, cells in survivors) == sorted(names),
         elapsed_ms=elapsed_ms,

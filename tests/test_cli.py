@@ -409,7 +409,7 @@ def test_verify_all_q_builds_one_layout(monkeypatch, capsys):
     init = verifier._AnonymousSpace.__init__  # _LiftedSpace's too
 
     def counting(self, *args):
-        built.append(self.name)
+        built.append(self.table._space)
         init(self, *args)
 
     monkeypatch.setattr(verifier._AnonymousSpace, "__init__", counting)

@@ -272,9 +272,7 @@ def test_adjacent_transpositions():
 
 
 def test_memoized_operations_have_bounded_caches():
-    from qmvote.rules import tally_classes
-
-    for cached in (tally, dual, all_profiles, adjacent_transpositions, tally_classes):
+    for cached in (tally, dual, all_profiles):
         assert cached.cache_info().maxsize is not None, cached.__name__
     # the per-profile caches hold all of n=9, the largest profile walk
     assert tally.cache_info().maxsize >= 3**9

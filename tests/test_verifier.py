@@ -143,6 +143,14 @@ def test_contradiction_not_applicable_for_qualified_quotas():
         unqualified_quota_contradiction(rule, 3, 2)
 
 
+def test_contradiction_refuses_a_quota_out_of_range():
+    # a quota outside 0..n is neither qualified nor unqualified
+    rule = threshold_table_rule(2, 1, X)
+    for q in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^quota must lie in 0\.\.2, got {q}$"):
+            unqualified_quota_contradiction(rule, 2, q)
+
+
 # --- cell layouts -----------------------------------------------------------
 
 
@@ -217,14 +225,15 @@ def test_each_layout_closes_a_cell_as_the_profile_level_moves_do():
             for toward, targets in zip((layout.x_moves, layout.y_moves), moves):
                 want = sum(1 << bits[t] for t in reached(k, targets))
                 got = verifier._reached(seed, toward)
-                assert got == want, (layout.name, layout.n, toward is layout.x_moves, k)
+                assert got == want, (type(layout).__name__, layout.n, toward is layout.x_moves, k)
 
 
 def test_each_layout_mirrors_a_cell_to_its_dual():
     # a decision seeds its cell alone and mirrors it to the dual
     for layout, cells, bits, _ in cell_layouts():
         for k, d in enumerate(cells.dual_idx):
-            assert layout.seed(bits[k]) == (1 << bits[k], 1 << bits[d]), (layout.name, layout.n, k)
+            seeds = (1 << bits[k], 1 << bits[d])
+            assert layout.seed(bits[k]) == seeds, (type(layout).__name__, layout.n, k)
     # without q-neutrality a layout has no mirrors and no quota region
     for space in (verifier._FullSpace, verifier._AnonymousSpace):
         layout = space(3, True, False).at(2)
@@ -242,7 +251,7 @@ def test_each_layout_holds_r_q_where_some_alternative_has_q_supporters():
                 sides = [0, 0]  # the cells outside and inside R_q
                 for k, support in enumerate(cells.support):
                     sides[support >= q] |= 1 << bits[k]
-                assert [layout.out_rq, layout.in_rq] == sides, (layout.name, n, q)
+                assert [layout.out_rq, layout.in_rq] == sides, (type(layout).__name__, n, q)
 
 
 def recorded_states(monkeypatch):
@@ -263,12 +272,12 @@ def test_search_states_hold_the_mirrors_of_their_cell_sets(monkeypatch):
     for layout, cells, bits, _ in cell_layouts(all_quotas=True):
         del states[:]
         verifier._solutions(layout, 64)
-        assert states, (layout.name, layout.n)
+        assert states, (type(layout).__name__, layout.n)
         duals = [(bits[k], bits[d]) for k, d in enumerate(cells.dual_idx)]
         for state in filter(None, states):
             z, o, zd, od = state
             mirrors = [sum(1 << d for k, d in duals if cell_set >> k & 1) for cell_set in (z, o)]
-            assert [zd, od] == mirrors, (layout.name, layout.n, layout.in_rq)
+            assert [zd, od] == mirrors, (type(layout).__name__, layout.n, layout.in_rq)
 
 
 def test_one_layout_answers_each_quota_as_a_fresh_layout_does(monkeypatch):
@@ -290,7 +299,8 @@ def test_one_layout_answers_each_quota_as_a_fresh_layout_does(monkeypatch):
     for (space, n), axioms in itertools.product(cases, itertools.product((True, False), repeat=2)):
         shared = space(n, *axioms)
         for q in [*range(n, -1, -1), *range(n + 1)]:
-            assert outcome(shared, q) == outcome(space(n, *axioms), q), (space.name, n, axioms, q)
+            fresh = space(n, *axioms)
+            assert outcome(shared, q) == outcome(fresh, q), (space.__name__, n, axioms, q)
 
 
 def test_a_report_names_only_the_quota_rules_cell_sets():
@@ -304,7 +314,7 @@ def test_a_report_names_only_the_quota_rules_cell_sets():
         assert named == {
             layout.encoding(rule): QualifiedMajorityRule(3, 2, X).pretty(),
             layout.encoding(other): f"table@{layout.encoding(other)}",
-        }, layout.name
+        }, type(layout).__name__
         assert not result.matches_theorem
         # at an unqualified quota there is no quota rule to name
         layout.at(1)
@@ -667,7 +677,7 @@ def test_each_space_encodes_the_quota_rules_as_their_cell_counts_do():
                     clauses.encoding(clauses.elects_y[rule.reform])
                     for rule in qualified_majority_rules(n, q)
                 )
-                assert found == quota_rule_encodings(cell_counts(n), q), (space.name, n, q)
+                assert found == quota_rule_encodings(cell_counts(n), q), (space.__name__, n, q)
 
 
 def test_the_lifted_space_encodes_each_grid_class_as_its_profiles():
@@ -720,6 +730,12 @@ def test_full_space_without_anonymity_keeps_the_two_quota_rules():
         for q in range(n // 2 + 1, n + 1):
             want = quota_rule_encodings(counts, q)
             assert survivors_full(n, q, use_anonymity=False) == want, (n, q)
+    # at the unqualified quotas, none at q = 0, but rules that are not
+    # anonymous pass at q >= 1
+    for n in range(2, 6):
+        assert survivors_full(n, 0, use_anonymity=False) == [], n
+    for (n, q), count in {(2, 1): 4, (3, 1): 28, (4, 1): 4000, (4, 2): 16}.items():
+        assert len(survivors_full(n, q, use_anonymity=False)) == count, (n, q)
 
 
 def test_full_n3_theorem_every_quota():
@@ -784,11 +800,30 @@ def test_swap_half_at_the_smallest_qualified_quota_counts_central_binomials():
     # off R_q, n_x < q and n_y < q, form a whole q x q square in the product
     # order; Y may win on any down-set of it, and a q x q grid has C(2q, q)
     # down-sets, one per lattice path across it.
+    # The other half of q-neutrality, the same winner off R_q, alone leaves
+    # 2^(n+1) rules at q = 0, where R_q is every class, and 2^(n+2-q) at
+    # q >= 1. For n <= 8 the search, with the other half's region emptied
+    # after ``at(q)``, counts each half as the staircases do.
     for n in range(2, 13):
-        q = n // 2 + 1
         diffs, in_rq = mirror_diffs(n)
-        swaps = sum(1 for diff in diffs.values() if diff & in_rq[q] == in_rq[q])
-        assert swaps == math.comb(2 * q, q), n
+        for q in range(n + 1):
+            swaps = sum(1 for diff in diffs.values() if diff & in_rq[q] == in_rq[q])
+            stays = sum(1 for diff in diffs.values() if diff & ~in_rq[q] == 0)
+            assert stays == 2 ** (n + 1 if q == 0 else n + 2 - q), (n, q)
+            if 2 * q <= n:
+                assert swaps == 0, (n, q)
+            elif q == n // 2 + 1:
+                assert swaps == math.comb(2 * q, q), (n, q)
+            if q == n:
+                assert swaps == 2 ** (n + 1) - 2, n
+            if n == 8 and q >= 5:
+                assert swaps == (252, 420, 492, 510)[q - 5], q
+            if n <= 8:
+                for emptied, count in (("out_rq", swaps), ("in_rq", stays)):
+                    layout = verifier._AnonymousSpace(n, True, True).at(q)
+                    setattr(layout, emptied, 0)
+                    found = verifier._solutions(layout, verifier._MAX_SURVIVORS)
+                    assert len(found) == count, (n, q, emptied)
 
 
 def test_full_n3_theorem_sweep():
